@@ -47,8 +47,6 @@ from .substitution import (
     ConnectorAtom,
     DigitRule,
     EdgewiseRule,
-    LengthRule,
-    LengthTerm,
     PairRule,
     PostTransform,
     StateAtom,
@@ -58,7 +56,6 @@ from .substitution import (
     check_commutation,
     check_extending,
     expand_digitwise,
-    expand_edgewise,
     expand_pairwise,
     expand_wholecurve,
     is_expansive,
@@ -103,6 +100,7 @@ from .catalog import (
     catalog_entries,
     catalog_list,
     export_bfile,
+    format_bfile,
     generate_entry,
     get_entry,
     parse_bfile,

@@ -15,7 +15,7 @@ hyper-orthogonality, lattice alignment, expected partial overlaps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import (
     Grid,
@@ -39,8 +39,6 @@ from .substitution import (
     ConnectorAtom,
     DigitRule,
     EdgewiseRule,
-    LengthRule,
-    LengthTerm,
     PairRule,
     PostTransform,
     RuleError,
@@ -176,11 +174,13 @@ def v1_dragon_system() -> SubstitutionSystem:
 
 
 def v1_dragon_length_system() -> SubstitutionSystem:
-    digits = v1_dragon_system()
-    lengths = LengthRule((LengthTerm(), LengthTerm(reverse=True), LengthTerm(scale_pow=1)))
+    """The V1 dragon with its third block sqrt(2) longer, which gives the
+    system a length stream."""
+    first, second, third = v1_dragon_system().rule.terms
+    t = (first, second, replace(third, scale_pow=1))
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(4), rule=digits.rule, start=(1,),
-        length_rule=lengths, length_start=(0,), name="v1-dragon-lengths",
+        kind="edgewise", digiset=Digiset(4), rule=EdgewiseRule(t), start=(1,),
+        name="v1-dragon-lengths",
     )
 
 
@@ -285,12 +285,8 @@ class CatalogEntry:
     length_log_prefix: tuple[int, ...] | None = None
 
 
-def _entry(**kw) -> CatalogEntry:
-    return CatalogEntry(**kw)
-
-
 _ENTRIES: tuple[CatalogEntry, ...] = (
-    _entry(
+    CatalogEntry(
         id="dekking-flowsnake",
         title="Dekking's flowsnake",
         digiset=Digiset(2),
@@ -300,7 +296,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          1, 2, 1, -2, -2, 1, 1, 2, -1, 2),
         checks=("extending",),
     ),
-    _entry(
+    CatalogEntry(
         id="mandelbrot-flowsnake",
         title="Mandelbrot's 4x3 flowsnake",
         digiset=Digiset(2),
@@ -312,7 +308,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "inconsistent; the prefix stops at the 25 terms all listings agree on",
         checks=("extending",),
     ),
-    _entry(
+    CatalogEntry(
         id="mandelbrot-island",
         title="Mandelbrot's flowsnake island",
         digiset=Digiset(2),
@@ -324,7 +320,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "published term lists contradict it and each other",
         checks=("closed",),
     ),
-    _entry(
+    CatalogEntry(
         id="box4",
         title="Ventrella's Box 4",
         digiset=Digiset(2),
@@ -336,7 +332,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "approximant normalized and extending",
         checks=("extending",),
     ),
-    _entry(
+    CatalogEntry(
         id="arndt-peano",
         title="Arndt's Peano curve (R9-1)",
         digiset=Digiset(2),
@@ -346,7 +342,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          1, -2, -1, -2, 1, 2, 1, -2, 1, -2),
         checks=("extending", "edge-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="arndt-peano-truncated",
         title="Arndt's Peano curve on the truncated square grid",
         digiset=Digiset(4),
@@ -356,7 +352,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          -1, -4, 3, 2, 1, 4, -3, 4, 1, 2, 3),
         checks=("successor-constraint", "edge-simple"),
     ),
-    _entry(
+    CatalogEntry(
         id="v1-dragon-8roots",
         title="Ventrella's V1 dragon on the eighth-roots grid",
         digiset=Digiset(4),
@@ -368,7 +364,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "themselves partially, which the geometry report detects",
         checks=("extending", "partial-overlap-expected"),
     ),
-    _entry(
+    CatalogEntry(
         id="v1-dragon-sqdiag",
         title="Ventrella's V1 dragon on the square-diagonal grid",
         digiset=Digiset(4),
@@ -383,7 +379,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         length_log_prefix=(0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1,
                            2, 2, 1, 1, 2, 2, 3, 3, 2, 2, 1, 1, 2, 2),
     ),
-    _entry(
+    CatalogEntry(
         id="hilbert-original",
         title="Hilbert's curve, normalized and extending",
         digiset=Digiset(2),
@@ -393,7 +389,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          1, 2, -1, 2, 1, 2, -1, -1, -2, -1),
         checks=("extending", "vertex-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="hilbert-3d-origin",
         title="3D hyper-orthogonal Hilbert curve, origin entry",
         digiset=Digiset(3),
@@ -403,7 +399,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          1, -3, -1, -3, -2),
         checks=("extending", "hyper-orthogonal:1", "cube-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="hilbert-4d-origin",
         title="4D hyper-orthogonal Hilbert curve, origin entry",
         digiset=Digiset(4),
@@ -415,7 +411,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "the perm-table construction produces",
         checks=("extending", "hyper-orthogonal:2", "cube-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="gray",
         title="Gray curve",
         digiset=UNBOUNDED,
@@ -426,7 +422,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         oeis="A164677",
         checks=("extending", "hamiltonian-cube", "gray-hyper-orthogonal"),
     ),
-    _entry(
+    CatalogEntry(
         id="hilbert-4d-nonorigin",
         title="4D hyper-orthogonal Hilbert curve, non-origin entry",
         digiset=Digiset(4),
@@ -436,7 +432,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
                          1, 4, -1, -3, 1, -4, -1),
         checks=("extending", "hyper-orthogonal:2", "cube-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="hilbert-3d-nonorigin",
         title="3D hyper-orthogonal Hilbert curve, non-origin entry",
         digiset=Digiset(3),
@@ -448,7 +444,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
               "position nine; the prefix follows the construction",
         checks=("extending", "hyper-orthogonal:1", "cube-covering"),
     ),
-    _entry(
+    CatalogEntry(
         id="beta-omega",
         title="beta-Omega curve",
         digiset=Digiset(2),
@@ -495,34 +491,29 @@ def generate_entry(entry_id: str, count: int):
         raise CatalogError("count must be nonnegative")
     if count > GENERATION_CAP:
         raise CatalogError(f"count {count} exceeds cap {GENERATION_CAP}")
-    seq, exps = _stable_prefix(entry.system, count)
+    seq, exps = _stable_prefix(entry, count)
     return SignedSequence(seq[:count], entry.digiset), (exps[:count] if exps is not None else None)
 
 
-def _stable_prefix(system: SubstitutionSystem, count: int):
+def _stable_prefix(entry: CatalogEntry, count: int):
     """Iterate until the first ``count`` items agree between two successive
     levels; handles the one catalog curve that is not extending.
 
-    Levels that cannot be realized (a pairlift has no pair context on a
-    one-edge start) are skipped."""
+    A pairlift cannot read out a one-edge base (no pair context), so its
+    level 0 is skipped then.  Any other failure, such as a level over the
+    item cap, ends the search at once."""
+    system = entry.system
+    first = 1 if system.kind == "pairlift" and len(iterate(system.base, 0)) < 2 else 0
     prev = prev_exps = None
-    for k in range(0, 64):
+    for k in range(first, 64):
         try:
             cur, cur_exps = iterate_full(system, k)
-        except RuleError:
-            continue
+        except RuleError as exc:
+            raise CatalogError(f"{entry.id}: {exc}") from None
         if prev is not None and len(prev) >= count and prev.items[:count] == cur.items[:count]:
             return prev.items, prev_exps
         prev, prev_exps = cur, cur_exps
     raise CatalogError(f"prefix of {count} terms did not stabilize")
-
-
-def entry_level_for(entry: CatalogEntry, edges: int) -> int:
-    """Smallest level whose curve has at least ``edges`` edges."""
-    for k in range(0, 64):
-        if len(iterate(entry.system, k)) >= edges:
-            return k
-    raise CatalogError("level search exhausted")
 
 
 @dataclass(frozen=True)
@@ -546,22 +537,21 @@ def verify_entry(entry_id: str) -> EntryReport:
     """Run every declared check for one entry; failures land in the report,
     not in an exception."""
     entry = get_entry(entry_id)
-    results = [_check_prefix(entry), _check_normalized(entry)]
+    got, _ = generate_entry(entry.id, len(entry.expected_prefix))
+    results = [_check_prefix(entry, got), _check_normalized(got)]
     for name in entry.checks:
         results.append(_run_check(entry, name))
     return EntryReport(entry_id=entry_id, checks=tuple(results))
 
 
-def _check_prefix(entry: CatalogEntry) -> CheckResult:
+def _check_prefix(entry: CatalogEntry, got: SignedSequence) -> CheckResult:
     want = entry.expected_prefix
-    got, _ = generate_entry(entry.id, len(want))
     ok = got.items == want
     detail = "" if ok else f"first difference at {next(i for i, (a, b) in enumerate(zip(got.items, want)) if a != b)}"
     return CheckResult("prefix", ok, detail)
 
 
-def _check_normalized(entry: CatalogEntry) -> CheckResult:
-    got, _ = generate_entry(entry.id, len(entry.expected_prefix))
+def _check_normalized(got: SignedSequence) -> CheckResult:
     return CheckResult("normalized", is_normalized(got))
 
 
@@ -747,14 +737,17 @@ def stream_ids() -> tuple[str, ...]:
 
 
 def export_bfile(stream_id: str, count: int) -> bytes:
-    """OEIS interchange format: ``n value`` per line, n from 1."""
+    """The first ``count`` terms of a stream as a b-file."""
     if stream_id == "v1-dragon-lengths":
-        _, exps = generate_entry("v1-dragon-sqdiag", count)
-        values = list(exps)
+        _, values = generate_entry("v1-dragon-sqdiag", count)
     else:
-        seq, _ = generate_entry(stream_id, count)
-        values = list(seq.items)
-    return "".join(f"{n} {v}\n" for n, v in enumerate(values[:count], start=1)).encode("ascii")
+        values = generate_entry(stream_id, count)[0].items
+    return format_bfile(values)
+
+
+def format_bfile(values) -> bytes:
+    """OEIS interchange format: ``n value`` per line, n from 1."""
+    return "".join(f"{n} {v}\n" for n, v in enumerate(values, start=1)).encode("ascii")
 
 
 def parse_bfile(data: bytes) -> list[tuple[int, int]]:

@@ -38,27 +38,22 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    exps = None
     if args.id == "v1-dragon-lengths":
         # the dragon's length stream, as base-sqrt2 logarithms
-        _, exps = catalog.generate_entry("v1-dragon-sqdiag", args.terms)
-        print(_fmt_seq(exps))
-        count = len(exps)
+        _, values = catalog.generate_entry("v1-dragon-sqdiag", args.terms)
     elif args.level is not None:
-        entry = catalog.get_entry(args.id)
-        seq, exps = iterate_full(entry.system, args.level)
-        print(_fmt_seq(seq.items))
-        if exps is not None:
-            print("lengths-log-sqrt2: " + _fmt_seq(exps))
-        count = len(seq)
+        seq, exps = iterate_full(catalog.get_entry(args.id).system, args.level)
+        values = seq.items
     else:
         seq, exps = catalog.generate_entry(args.id, args.terms)
-        print(_fmt_seq(seq.items))
-        if exps is not None:
-            print("lengths-log-sqrt2: " + _fmt_seq(exps))
-        count = len(seq)
+        values = seq.items
+    print(_fmt_seq(values))
+    if exps is not None:
+        print("lengths-log-sqrt2: " + _fmt_seq(exps))
     if args.bfile:
         with open(args.bfile, "wb") as fh:
-            fh.write(catalog.export_bfile(args.id, count))
+            fh.write(catalog.format_bfile(values))
     return 0
 
 

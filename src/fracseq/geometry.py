@@ -75,12 +75,6 @@ class Radical:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Radical":
-        if isinstance(other, Radical):
-            raise TypeError("division by a radical is not supported")
-        q = Fraction(other)
-        return Radical(self.a / q, self.b / q, self.c / q, self.d / q)
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 1.4142135623730951 + float(self.c) * 1.7320508075688772 + float(self.d) * 2.449489742783178
 
@@ -306,16 +300,6 @@ def dragon_axes_grid() -> Grid:
     h = Fraction(1, 2)
     s = Radical.sqrt2(h)
     return Grid(2, (vec(1, 0), vec(0, 1), (-s, s), (-s, -s)), name="eighth-roots-dragon")
-
-
-BUILTIN_GRIDS = {
-    "square": square_grid,
-    "triangular": triangular_grid,
-    "square-diagonal": square_diagonal_grid,
-    "eighth-roots": eighth_roots_grid,
-    "truncated-square": truncated_square_grid,
-    "honeycomb": honeycomb_grid,
-}
 
 
 @dataclass(frozen=True)

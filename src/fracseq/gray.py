@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .perms import SignedPermutation, PermError
-from .sequences import Digiset, SignedSequence, UNBOUNDED
+from .sequences import Digiset, SignedSequence, UNBOUNDED, fold
 from .substitution import (
     PostTransform,
     StateAtom,
@@ -30,10 +30,7 @@ def gray_sequence(d: int) -> SignedSequence:
     """Signed steps of the d-bit reflected Gray code; length 2**d - 1."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    items: tuple[int, ...] = ()
-    for axis in range(1, d + 1):
-        items = items + (axis,) + tuple(-k for k in items[::-1])
-    return SignedSequence(items, UNBOUNDED)
+    return fold(range(1, d + 1))
 
 
 def gray_function(d: int, n: int) -> int:

@@ -66,7 +66,11 @@ def apply(p: SignedPermutation, s: SignedSequence) -> SignedSequence:
 
 def apply_items(p: SignedPermutation, items: tuple[int, ...]) -> tuple[int, ...]:
     imgs = p.images
-    return tuple(imgs[k - 1] if k > 0 else -imgs[-k - 1] for k in items)
+    try:
+        return tuple(imgs[k - 1] if k > 0 else -imgs[-k - 1] for k in items)
+    except IndexError:
+        bad = next(k for k in items if abs(k) > p.n)
+        raise PermError(f"digit {bad} outside dimension {p.n}") from None
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:

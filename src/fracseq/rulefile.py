@@ -36,8 +36,6 @@ from .substitution import (
     ConnectorAtom,
     DigitRule,
     EdgewiseRule,
-    LengthRule,
-    LengthTerm,
     PairRule,
     PostTransform,
     StateAtom,
@@ -46,9 +44,6 @@ from .substitution import (
     Variant,
     WholeCurveRule,
 )
-
-GRAMMAR_DOC = __doc__
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -281,15 +276,9 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
     if kind == "edgewise":
         if not terms:
             raise ParseError("edgewise rule has no terms", 1, 1)
-        rule = EdgewiseRule(tuple(terms))
-        length_rule = None
-        length_start: tuple[int, ...] = ()
-        if any(t.scale_pow or t.reverse for t in terms) and any(t.scale_pow for t in terms):
-            length_rule = LengthRule(tuple(LengthTerm(t.reverse, t.scale_pow) for t in terms))
-            length_start = (0,) * len(plain_start)
         system = SubstitutionSystem(
-            kind="edgewise", digiset=digiset, rule=rule, start=plain_start, post=post,
-            length_rule=length_rule, length_start=length_start, name=name,
+            kind="edgewise", digiset=digiset, rule=EdgewiseRule(tuple(terms)), start=plain_start,
+            post=post, name=name,
         )
     elif kind == "digitwise":
         if not digit_map:

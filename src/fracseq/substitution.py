@@ -1,19 +1,30 @@
-"""Substitution mechanisms that grow curve approximants.
+"""Substitution systems and the two kernels that expand them.
 
-Four rule kinds are supported:
+A curve grows in one of two ways (Allouche & Shallit, *Automatic
+Sequences*, 2003, ch. 6-7), and every rule kind runs on one kernel:
 
-* edgewise: an ordered list of terms (signed perms, optionally reversing,
-  optionally scaling a parallel length stream).  A rule without reversing
-  terms is an honest morphism and one application expands each digit x to
-  (t1(x), ..., tm(x)); reversing terms act on the whole current sequence,
-  (t1(S), ..., tm(S)), since reversal says nothing on a single edge.
-* digitwise: a per-digit map on variant-marked digits; one application is
-  an ordinary morphism on the variant stream.
-* wholecurve: named states, each rebuilt every level by concatenating
-  transformed copies of the states, plus optional connector edges whose
-  value may rotate with the level.
-* pairlift: a re-coding that reads overlapping digit pairs of a base
-  system's output and emits one lifted pair per input edge.
+* The morphism kernel rewrites each token in place.  Per level it builds
+  one image table from token to image tuple, with the level's alternating
+  term signs and the per-step ``post`` relabeling folded in, and expands
+  the level in one pass of table lookups.  It runs ``digitwise`` rules
+  (tokens are variant-marked digits, so one digit may have several
+  images) and ``edgewise`` rules without a reversing term (tokens are
+  digits, imaged by (t1(x), ..., tm(x))).
+* The production kernel rebuilds named states from transformed copies of
+  the states and from connector edges whose value may rotate with the
+  level.  It runs ``wholecurve`` rules and, as a single state, ``edgewise``
+  rules with a reversing term (reversal has no meaning on one edge, so
+  such terms act on the whole approximant).  It applies ``post`` after
+  each step and the rule's ``normalizer`` at read-out.
+
+A ``pairlift`` is neither: it re-codes overlapping digit pairs of its base
+system's output, one lifted pair per input edge.
+
+Terms with a ``scale_pow`` give a system a parallel length stream: each
+edge's length as an integer power of sqrt 2, starting at 0 on every start
+edge.  The kernel that runs the digits carries it in the same order.
+Both kernels compute the next level's length before building it and refuse
+a level over ``max_items``.
 
 Levels count applications from the system's start (`start_level` names the
 level of the start itself).  Alternating signs, connector powers and
@@ -23,7 +34,9 @@ extending where the catalog requires it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping
 
 from .perms import SignedPermutation, apply_items, compose, identity, power
@@ -140,63 +153,6 @@ class EdgewiseRule:
     def has_reverse(self) -> bool:
         return any(t.reverse for t in self.terms)
 
-    def expand_whole(self, items: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
-        out: list[int] = []
-        for t in self.terms:
-            out.extend(t.apply(items, level))
-        return tuple(out)
-
-    def expand_digits(self, items: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in items:
-            for t in self.terms:
-                out.append(t.of_digit(x, level))
-        return tuple(out)
-
-    def expand(self, items: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
-        """Iteration step: a rule without reversing terms is an honest
-        morphism and expands digit by digit; reversing terms act on the
-        whole approximant (reversal has no meaning on a single edge)."""
-        if self.has_reverse:
-            return self.expand_whole(items, level)
-        return self.expand_digits(items, level)
-
-
-def expand_edgewise(rule: EdgewiseRule, s: SignedSequence, level: int = 0) -> SignedSequence:
-    """Morphism expansion: each item x maps to (t1(x), ..., tm(x))."""
-    out: list[int] = []
-    for x in s.items:
-        for t in rule.terms:
-            out.append(t.of_digit(x, level))
-    return SignedSequence(tuple(out), s.digiset)
-
-
-@dataclass(frozen=True)
-class LengthTerm:
-    """Length-stream counterpart of a Term: reorder plus a sqrt(2) power."""
-
-    reverse: bool = False
-    scale_pow: int = 0
-
-    def apply(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        src = exps[::-1] if self.reverse else exps
-        if self.scale_pow == 0:
-            return tuple(src)
-        return tuple(e + self.scale_pow for e in src)
-
-
-@dataclass(frozen=True)
-class LengthRule:
-    """Parallel stream of edge lengths, kept as integer powers of sqrt(2)."""
-
-    terms: tuple[LengthTerm, ...]
-
-    def expand(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for t in self.terms:
-            out.extend(t.apply(exps))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class DigitRule:
@@ -240,19 +196,17 @@ def _negate_variants(vs: tuple[Variant, ...]) -> tuple[Variant, ...]:
     return tuple((-x, m) for x, m in vs)
 
 
-def variants(items, mark: int = 0) -> tuple[Variant, ...]:
-    return tuple((x, mark) for x in items)
-
-
 def project(stream: tuple[Variant, ...]) -> tuple[int, ...]:
     return tuple(x for x, _ in stream)
 
 
+def _expand(table: Mapping, stream: tuple) -> tuple:
+    """One morphism level: the concatenated table images of the tokens."""
+    return tuple(chain.from_iterable(map(table.__getitem__, stream)))
+
+
 def expand_digitwise(rule: DigitRule, stream: tuple[Variant, ...]) -> tuple[Variant, ...]:
-    out: list[Variant] = []
-    for v in stream:
-        out.extend(rule.image(v))
-    return tuple(out)
+    return _expand({v: rule.image(v) for v in set(stream)}, stream)
 
 
 @dataclass(frozen=True)
@@ -309,10 +263,6 @@ class WholeCurveRule:
         for name in self.productions:
             if name not in self.starts:
                 raise RuleError(f"state {name!r} has no start sequence")
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(self.productions)
 
 
 def expand_wholecurve(
@@ -399,8 +349,6 @@ class SubstitutionSystem:
     rule: EdgewiseRule | DigitRule | WholeCurveRule | PairRule
     start: tuple = ()
     post: PostTransform | None = None
-    length_rule: LengthRule | None = None
-    length_start: tuple[int, ...] = ()
     base: "SubstitutionSystem | None" = None
     start_level: int = 0
     name: str = ""
@@ -411,35 +359,98 @@ class SubstitutionSystem:
             raise RuleError(f"kind must be one of {kinds}")
         if self.kind == "pairlift" and self.base is None and not self.start:
             raise RuleError("pairlift needs a base system or an explicit start")
-        if self.length_rule is not None and len(self.length_start) != len(self.start):
-            raise RuleError("length stream start must align with the digit start")
 
 
 ITEM_CAP = 10**7
 
 
-def _digit_state(sys_: SubstitutionSystem, k: int, max_items: int) -> tuple[Variant, ...]:
+def _refuse_over_cap(size: int, k: int, max_items: int) -> None:
+    """Raise before building the k-th application's output of ``size`` items."""
+    if size > max_items:
+        raise RuleError(f"item cap {max_items} exceeded at level {k}: it would have {size} items")
+
+
+def _morphism(sys_: SubstitutionSystem, k: int, max_items: int):
+    """Morphism kernel: (digits, length stream or None) after k levels.
+
+    Token counts give each level's length before the level is built; the
+    tokens that occur pick the entries of the next image table.
+    """
+    post = sys_.post
+    if sys_.kind == "edgewise":
+        terms = sys_.rule.terms
+        scales = tuple(t.scale_pow for t in terms)
+
+        def image(x, level):
+            img = tuple(t.of_digit(x, level) for t in terms)
+            return img if post is None else post.apply_at(level + 1, img)
+    else:
+        rule: DigitRule = sys_.rule
+        scales = ()
+
+        def image(v, level):
+            img = rule.image(v)
+            if post is None:
+                return img
+            return tuple(zip(post.apply_at(level + 1, project(img)), (m for _, m in img)))
+
     stream = tuple(sys_.start)
+    exps = (0,) * len(stream) if any(scales) else None
+    counts = Counter(stream)
     for level in range(sys_.start_level, sys_.start_level + k):
-        stream = expand_digitwise(sys_.rule, stream)
-        if len(stream) > max_items:
-            raise RuleError(f"item cap {max_items} exceeded at level {level + 1}")
-        if sys_.post is not None:
-            digits = sys_.post.apply_at(level + 1, project(stream))
-            stream = tuple((d, v[1]) for d, v in zip(digits, stream))
-    return stream
+        table = {v: image(v, level) for v in counts}
+        nxt: Counter = Counter()
+        for v, c in counts.items():
+            for w in table[v]:
+                nxt[w] += c
+        _refuse_over_cap(nxt.total(), level + 1 - sys_.start_level, max_items)
+        stream = _expand(table, stream)
+        if exps is not None:
+            exps = tuple(e + s for e in exps for s in scales)
+        counts = nxt
+    return (stream if sys_.kind == "edgewise" else project(stream)), exps
 
 
-def _wholecurve_states(sys_: SubstitutionSystem, k: int, max_items: int) -> tuple[dict, int]:
-    rule: WholeCurveRule = sys_.rule
+def _production(sys_: SubstitutionSystem, k: int, max_items: int):
+    """Production kernel: (read-out digits, length stream or None) after k
+    levels.  An edgewise rule runs as the single state ``""``."""
+    if sys_.kind == "edgewise":
+        atoms = tuple(StateAtom("", t) for t in sys_.rule.terms)
+        rule = WholeCurveRule({"": atoms}, {"": tuple(sys_.start)}, "")
+    else:
+        rule = sys_.rule
     states = {name: tuple(items) for name, items in rule.starts.items()}
-    level = sys_.start_level
-    for _ in range(k):
+    scaled = any(
+        isinstance(a, StateAtom) and a.term.scale_pow for atoms in rule.productions.values() for a in atoms
+    )
+    exps = {name: (0,) * len(items) for name, items in states.items()} if scaled else None
+    for level in range(sys_.start_level, sys_.start_level + k):
+        sizes = [
+            sum(len(states[a.state]) if isinstance(a, StateAtom) else 1 for a in atoms)
+            for atoms in rule.productions.values()
+        ]
+        _refuse_over_cap(max(sizes), level + 1 - sys_.start_level, max_items)
         states = expand_wholecurve(rule, level, states)
-        level += 1
-        if any(len(v) > max_items for v in states.values()):
-            raise RuleError(f"item cap {max_items} exceeded at level {level}")
-    return states, level
+        if sys_.post is not None:
+            states = {name: sys_.post.apply_at(level + 1, items) for name, items in states.items()}
+        if exps is not None:
+            exps = {
+                name: tuple(chain.from_iterable(_atom_lengths(a, exps) for a in atoms))
+                for name, atoms in rule.productions.items()
+            }
+    out = states[rule.output_state]
+    if rule.normalizer is not None:
+        out = rule.normalizer.apply_at(sys_.start_level + k, out)
+    return out, (exps[rule.output_state] if exps is not None else None)
+
+
+def _atom_lengths(a: Atom, exps: Mapping[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """Length-stream counterpart of one atom: a connector is one unscaled
+    edge; a state copy reorders like its digits and adds its sqrt(2) power."""
+    if isinstance(a, ConnectorAtom):
+        return (0,)
+    src = exps[a.state][::-1] if a.term.reverse else exps[a.state]
+    return tuple(e + a.term.scale_pow for e in src)
 
 
 def iterate(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> SignedSequence:
@@ -456,31 +467,14 @@ def iterate_full(
     sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP
 ) -> tuple[SignedSequence, tuple[int, ...] | None]:
     """Like ``iterate`` but also returns the sqrt(2)-exponent length stream
-    when the system carries one."""
+    when a term of the system scales, else None.
+
+    Digitwise rules and edgewise rules without a reversing term run on the
+    morphism kernel, the rest on the production kernel; a pairlift re-codes
+    its base system's output.
+    """
     if k < 0:
         raise RuleError("level must be nonnegative")
-    if sys_.kind == "edgewise":
-        items = tuple(sys_.start)
-        exps = tuple(sys_.length_start) if sys_.length_rule is not None else None
-        for level in range(sys_.start_level, sys_.start_level + k):
-            items = sys_.rule.expand(items, level)
-            if sys_.post is not None:
-                items = sys_.post.apply_at(level + 1, items)
-            if exps is not None:
-                exps = sys_.length_rule.expand(exps)
-            if len(items) > max_items:
-                raise RuleError(f"item cap {max_items} exceeded at level {level + 1}")
-        return SignedSequence(items, sys_.digiset), exps
-    if sys_.kind == "digitwise":
-        stream = _digit_state(sys_, k, max_items)
-        return SignedSequence(project(stream), sys_.digiset), None
-    if sys_.kind == "wholecurve":
-        rule: WholeCurveRule = sys_.rule
-        states, level = _wholecurve_states(sys_, k, max_items)
-        out = states[rule.output_state]
-        if rule.normalizer is not None:
-            out = rule.normalizer.apply_at(level, out)
-        return SignedSequence(out, sys_.digiset), None
     if sys_.kind == "pairlift":
         if sys_.base is not None:
             base_seq = iterate(sys_.base, k, max_items)
@@ -488,11 +482,14 @@ def iterate_full(
             if k > 0:
                 raise RuleError("a pairlift without a base system only has its start level")
             base_seq = SignedSequence(tuple(sys_.start), Digiset(None))
+        _refuse_over_cap(2 * len(base_seq), k, max_items)
         lifted = expand_pairwise(sys_.rule, base_seq)
-        if len(lifted) > max_items:
-            raise RuleError(f"item cap {max_items} exceeded")
         return SignedSequence(lifted.items, sys_.digiset), None
-    raise RuleError(f"unknown kind {sys_.kind!r}")
+    if sys_.kind == "digitwise" or (sys_.kind == "edgewise" and not sys_.rule.has_reverse):
+        items, exps = _morphism(sys_, k, max_items)
+    else:
+        items, exps = _production(sys_, k, max_items)
+    return SignedSequence(items, sys_.digiset), exps
 
 
 def check_extending(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> bool:

@@ -148,6 +148,53 @@ def test_prefix_check_reports_failure():
 
     entry = get_entry("gray")
     doctored = dataclasses.replace(entry, expected_prefix=(1, 2, -1, 99))
-    result = _check_prefix(doctored)
+    result = _check_prefix(doctored, generate_entry("gray", 4)[0])
     assert not result.passed
     assert "difference at 3" in result.detail
+
+
+def test_verify_entry_generates_once(monkeypatch):
+    from fracseq import catalog
+
+    calls = []
+    original = catalog.generate_entry
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, "generate_entry", counting)
+    assert verify_entry("box4").passed
+    assert len(calls) == 1
+
+
+def test_generate_entry_stops_at_first_failure(monkeypatch):
+    from fracseq import catalog
+    from fracseq.substitution import RuleError
+
+    calls = []
+
+    def over_cap(system, k, *rest):
+        calls.append(k)
+        raise RuleError(f"item cap 10 exceeded at level {k}: it would have 99 items")
+
+    monkeypatch.setattr(catalog, "iterate_full", over_cap)
+    with pytest.raises(CatalogError, match="hilbert-4d-origin: item cap 10 exceeded at level 0"):
+        generate_entry("hilbert-4d-origin", 100)
+    assert calls == [0]
+
+
+def test_generate_entry_skips_only_the_one_edge_pairlift_level(monkeypatch):
+    from fracseq import catalog
+
+    levels = []
+    original = catalog.iterate_full
+
+    def recording(system, k, *rest):
+        levels.append(k)
+        return original(system, k, *rest)
+
+    monkeypatch.setattr(catalog, "iterate_full", recording)
+    got, _ = generate_entry("arndt-peano-truncated", 20)
+    assert got.items == get_entry("arndt-peano-truncated").expected_prefix[:20]
+    assert levels == [1, 2, 3]

@@ -57,6 +57,33 @@ def test_gen_length_stream_id(tmp_path, capsys):
     assert target.read_bytes() == b"1 0\n2 0\n3 1\n4 1\n"
 
 
+def test_gen_level_bfile_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "island.txt"
+    assert main(["gen", "mandelbrot-island", "--level", "2", "--bfile", str(target)]) == 0
+    printed = capsys.readouterr().out.strip().split(",")
+    rows = target.read_text().splitlines()
+    assert len(printed) == 196
+    assert rows == [f"{n} {v}" for n, v in enumerate(printed, start=1)]
+
+
+def test_gen_bfile_generates_once(tmp_path, capsys, monkeypatch):
+    from fracseq import catalog
+
+    calls = []
+    original = catalog.generate_entry
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, "generate_entry", counting)
+    for stream in ("box4", "v1-dragon-sqdiag", "v1-dragon-lengths"):
+        calls.clear()
+        assert main(["gen", stream, "--terms", "40", "--bfile", str(tmp_path / "b.txt")]) == 0
+        assert len(calls) == 1, stream
+    capsys.readouterr()
+
+
 def test_gen_unknown_id(capsys):
     assert main(["gen", "nope"]) == 2
     assert "unknown catalog id" in capsys.readouterr().err

@@ -25,8 +25,8 @@ from fracseq.substitution import (
     Term,
     check_commutation,
     check_extending,
+    SubstitutionSystem,
     expand_digitwise,
-    expand_edgewise,
     expand_pairwise,
     expand_wholecurve,
     is_expansive,
@@ -40,6 +40,11 @@ TAU_D = SignedPermutation((2, 1))
 IOTA = identity(2)
 
 ARNDT_RULE = arndt_peano_system().rule
+
+
+def expand_edgewise(rule, s):
+    """One iterate step of an edgewise rule from start ``s``."""
+    return iterate(SubstitutionSystem(kind="edgewise", digiset=s.digiset, rule=rule, start=s.items), 1)
 
 
 def test_expand_edgewise_arndt():
