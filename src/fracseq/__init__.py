@@ -55,7 +55,6 @@ from .substitution import (
     WholeCurveRule,
     check_commutation,
     check_extending,
-    expand_digitwise,
     expand_pairwise,
     expand_wholecurve,
     is_expansive,
@@ -100,7 +99,6 @@ from .catalog import (
     catalog_entries,
     catalog_list,
     export_bfile,
-    format_bfile,
     generate_entry,
     get_entry,
     parse_bfile,

@@ -200,15 +200,6 @@ def project(stream: tuple[Variant, ...]) -> tuple[int, ...]:
     return tuple(x for x, _ in stream)
 
 
-def _expand(table: Mapping, stream: tuple) -> tuple:
-    """One morphism level: the concatenated table images of the tokens."""
-    return tuple(chain.from_iterable(map(table.__getitem__, stream)))
-
-
-def expand_digitwise(rule: DigitRule, stream: tuple[Variant, ...]) -> tuple[Variant, ...]:
-    return _expand({v: rule.image(v) for v in set(stream)}, stream)
-
-
 @dataclass(frozen=True)
 class StateAtom:
     state: str
@@ -404,7 +395,7 @@ def _morphism(sys_: SubstitutionSystem, k: int, max_items: int):
             for w in table[v]:
                 nxt[w] += c
         _refuse_over_cap(nxt.total(), level + 1 - sys_.start_level, max_items)
-        stream = _expand(table, stream)
+        stream = tuple(chain.from_iterable(map(table.__getitem__, stream)))
         if exps is not None:
             exps = tuple(e + s for e in exps for s in scales)
         counts = nxt

@@ -1,6 +1,7 @@
 """Dual-route checks: the same curve derived two independent ways."""
 
 import random
+from itertools import chain
 
 from fracseq.catalog import (
     box4_digit_system,
@@ -20,9 +21,18 @@ from fracseq.substitution import (
     EdgewiseRule,
     SubstitutionSystem,
     Term,
-    expand_digitwise,
     iterate,
+    project,
 )
+
+
+def expand_digitwise(rule, stream):
+    """One digitwise level from a variant start: the rule's images of the
+    variants, whose digits one ``iterate`` step must reproduce."""
+    variants = tuple(chain.from_iterable(map(rule.image, stream)))
+    sys_ = SubstitutionSystem(kind="digitwise", digiset=Digiset(None), rule=rule, start=stream)
+    assert iterate(sys_, 1).items == project(variants)
+    return variants
 
 
 def test_box4_digit_rule_matches_term_rule():

@@ -7,6 +7,7 @@ transformed copies of its states, connector by connector.  Signs, post
 relabelings and the length stream are applied one item at a time.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,9 @@ from fracseq.catalog import (
 )
 from fracseq.cli import main
 from fracseq.gray import gray_t1_system, gray_t2_system
-from fracseq.perms import PermError
+from fracseq.perms import PermError, SignedPermutation
 from fracseq.rulefile import parse_rule_file
-from fracseq.substitution import ConnectorAtom, RuleError, iterate, iterate_full
+from fracseq.substitution import ConnectorAtom, PostTransform, RuleError, iterate, iterate_full
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
@@ -197,6 +198,11 @@ SYSTEMS = {
     **{e.id: e.system for e in catalog_entries()},
     "box4-digits": box4_digit_system(),
     "hilbert-drawing": hilbert_drawing_system(),
+    # rule files turn a wholecurve post into the read-out normalizer; built
+    # directly, a wholecurve post relabels every state after each step
+    "hilbert-drawing-post": replace(
+        hilbert_drawing_system(), post=PostTransform(SignedPermutation((2, 1)), "k")
+    ),
     "hilbert-digits": hilbert_digit_system(),
     "beta-omega-states": beta_omega_state_system(),
     "v1-dragon-lengths": v1_dragon_length_system(),

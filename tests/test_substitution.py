@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -26,7 +27,6 @@ from fracseq.substitution import (
     check_commutation,
     check_extending,
     SubstitutionSystem,
-    expand_digitwise,
     expand_pairwise,
     expand_wholecurve,
     is_expansive,
@@ -45,6 +45,15 @@ ARNDT_RULE = arndt_peano_system().rule
 def expand_edgewise(rule, s):
     """One iterate step of an edgewise rule from start ``s``."""
     return iterate(SubstitutionSystem(kind="edgewise", digiset=s.digiset, rule=rule, start=s.items), 1)
+
+
+def expand_digitwise(rule, stream):
+    """One digitwise level from a variant start: the rule's images of the
+    variants, whose digits one ``iterate`` step must reproduce."""
+    variants = tuple(chain.from_iterable(map(rule.image, stream)))
+    sys_ = SubstitutionSystem(kind="digitwise", digiset=Digiset(None), rule=rule, start=stream)
+    assert iterate(sys_, 1).items == project(variants)
+    return variants
 
 
 def test_expand_edgewise_arndt():
