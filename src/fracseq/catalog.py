@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from .geometry import (
     Grid,
     Polyline,
-    Radical,
     coverage_report,
     cubic_grid,
     dragon_axes_grid,
@@ -645,10 +644,9 @@ def _check_lattice_vertices(entry: CatalogEntry, name: str) -> CheckResult:
     seq, exps = iterate_full(entry.system, 5)
     lengths = [sqrt2_pow(e) for e in exps]
     p = trace(seq, entry.grid, lengths)
-    for v in p.vertices:
-        for c in v:
-            if isinstance(c, Radical) and c.as_int() is None:
-                return CheckResult(name, False, f"non-integer coordinate {c}")
+    off = next((i for i, v in enumerate(p.lattice_points()) if v is None), None)
+    if off is not None:
+        return CheckResult(name, False, f"vertex {off} has a non-integer coordinate")
     return CheckResult(name, True)
 
 

@@ -1,17 +1,26 @@
 """Geometric realization of sequences: grids, tracing, verification.
 
-Coordinates are exact: every component is a + b*sqrt2 + c*sqrt3 + d*sqrt6
-with rational a, b, c, d, which covers all shipped grids (square and cubic
-lattices, triangular, square-diagonal, eighth-roots) and every edge length
-that occurs (powers of sqrt2).  Floats appear only at render time, so
-coverage, self-avoidance and overlap checks are exact decisions.
+Grids are defined exactly: every generator component is
+a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational a, b, c, d (``Radical``),
+which covers all shipped grids (square and cubic lattices, triangular,
+honeycomb, square-diagonal, eighth-roots) and every edge length that
+occurs (powers of sqrt2).  A trace computes each distinct step once in
+that arithmetic and then walks on integers: a ``Polyline`` stores every
+coordinate as integer coefficients over 1, sqrt2, sqrt3, sqrt6 (only
+those the grid and lengths use; just 1 on cubic lattices) with one common
+denominator.  Self-avoidance, overlap, coverage and lattice checks are
+exact integer decisions; floats appear only in ``render``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .sequences import SignedSequence
@@ -22,6 +31,9 @@ class GridError(ValueError):
 
 
 _ZERO = Fraction(0)
+# Radical's components a, b, c, d multiply the square roots of these
+_RADICANDS = (1, 2, 3, 6)
+_ROOTS = {2: 1.4142135623730951, 3: 1.7320508075688772, 6: 2.449489742783178}
 
 
 @dataclass(frozen=True)
@@ -76,28 +88,13 @@ class Radical:
     __rmul__ = __mul__
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951 + float(self.c) * 1.7320508075688772 + float(self.d) * 2.449489742783178
+        return float(self.a) + float(self.b) * _ROOTS[2] + float(self.c) * _ROOTS[3] + float(self.d) * _ROOTS[6]
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     def sign(self) -> int:
-        """Exact sign via nested comparisons of squared parts."""
-        p = (self.a, self.b)  # P + Q*sqrt3 with P, Q in Q[sqrt2]
-        q = (self.c, self.d)
-        sp = _sign_sqrt2(*p)
-        sq = _sign_sqrt2(*q)
-        if sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        # P and Q have opposite signs: compare P^2 against 3 Q^2
-        p2 = (p[0] * p[0] + 2 * p[1] * p[1], 2 * p[0] * p[1])
-        q2 = (q[0] * q[0] + 2 * q[1] * q[1], 2 * q[0] * q[1])
-        diff = (p2[0] - 3 * q2[0], p2[1] - 3 * q2[1])
-        return sp * _sign_sqrt2(*diff)
+        return _sign4(self.a, self.b, self.c, self.d)
 
     def __lt__(self, other) -> bool:
         return (self - Radical.of(other)).sign() < 0
@@ -124,7 +121,34 @@ class Radical:
         return " + ".join(parts) if parts else "0"
 
 
-def _sign_sqrt2(a: Fraction, b: Fraction) -> int:
+def _parts(x) -> tuple:
+    """Coefficients of 1, sqrt2, sqrt3, sqrt6 in x."""
+    if isinstance(x, Radical):
+        return (x.a, x.b, x.c, x.d)
+    return (Fraction(x), _ZERO, _ZERO, _ZERO)
+
+
+def _sign4(a, b, c, d) -> int:
+    """Exact sign of a + b*sqrt2 + c*sqrt3 + d*sqrt6 (rational or integer
+    coefficients), via nested comparisons of squared parts."""
+    p = (a, b)  # P + Q*sqrt3 with P, Q in Q[sqrt2]
+    q = (c, d)
+    sp = _sign_sqrt2(*p)
+    sq = _sign_sqrt2(*q)
+    if sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    if sp == sq:
+        return sp
+    # P and Q have opposite signs: compare P^2 against 3 Q^2
+    p2 = (p[0] * p[0] + 2 * p[1] * p[1], 2 * p[0] * p[1])
+    q2 = (q[0] * q[0] + 2 * q[1] * q[1], 2 * q[0] * q[1])
+    diff = (p2[0] - 3 * q2[0], p2[1] - 3 * q2[1])
+    return sp * _sign_sqrt2(*diff)
+
+
+def _sign_sqrt2(a, b) -> int:
     if a == 0 and b == 0:
         return 0
     if a >= 0 and b >= 0:
@@ -136,8 +160,12 @@ def _sign_sqrt2(a: Fraction, b: Fraction) -> int:
     return s if a > 0 else -s
 
 
+@functools.lru_cache(maxsize=256)
 def sqrt2_pow(e: int) -> Radical:
-    """sqrt(2)**e as an exact value (e may be any nonnegative integer)."""
+    """sqrt(2)**e as an exact value (e may be any nonnegative integer).
+
+    Cached: a length stream repeats a few exponents, and ``trace`` hashes
+    each distinct length object once."""
     if e < 0:
         raise ValueError("negative powers not needed")
     if e % 2 == 0:
@@ -302,74 +330,235 @@ def dragon_axes_grid() -> Grid:
     return Grid(2, (vec(1, 0), vec(0, 1), (-s, s), (-s, -s)), name="eighth-roots-dragon")
 
 
+# ---------------------------------------------------------------- embedding
+#
+# Every traced vertex is an integer combination of a few exact steps, so a
+# polyline is stored on integers: each coordinate x becomes the coefficients
+# of D*x over a basis of radicands (1 first, then any of 2, 3, 6), with one
+# common denominator D per polyline.
+
+
+def _root_product(r: int, s: int) -> tuple[int, int]:
+    """sqrt(r) * sqrt(s) = q * sqrt(m) for radicands r, s among 1, 2, 3, 6."""
+    m, q = r * s, 1
+    for p in (2, 3):
+        if m % (p * p) == 0:
+            m, q = m // (p * p), q * p
+    return q, m
+
+
+def _closed_basis(values) -> tuple[int, ...]:
+    """The radicands the values use, with 1, closed under products."""
+    basis = {1} | {r for x in values for r, c in zip(_RADICANDS, _parts(x)) if c}
+    more = {_root_product(r, s)[1] for r in basis for s in basis}
+    return tuple(sorted(basis | more))  # one round closes any subset of {1, 2, 3, 6}
+
+
+def _denominator(values) -> int:
+    return math.lcm(*(c.denominator for x in values for c in _parts(x)))
+
+
+def _embed(v: Vector, basis: tuple[int, ...], den: int) -> tuple[int, ...]:
+    out = []
+    for x in v:
+        parts = _parts(x)
+        for r in basis:
+            out.append(int(parts[_RADICANDS.index(r)] * den))
+    return tuple(out)
+
+
+class _Ring:
+    """Exact integer arithmetic on coefficient vectors over one basis."""
+
+    def __init__(self, basis: tuple[int, ...]):
+        self.basis = basis
+        self.k = len(basis)
+        at = {r: i for i, r in enumerate(basis)}
+        self.table = tuple((i, j, at[m], q) for i, r in enumerate(basis) for j, s in enumerate(basis)
+                           for q, m in (_root_product(r, s),))
+        # the field automorphisms flip the sign of sqrt2, of sqrt3, or both
+        flips = {tuple((-1) ** ((r % 2 == 0) * f2 + (r % 3 == 0) * f3) for r in basis)
+                 for f2, f3 in ((1, 0), (0, 1), (1, 1))}
+        self.flips = tuple(sorted(flips - {(1,) * self.k}))
+        self.unit = (1,) + (0,) * (self.k - 1)
+        # u + (0,) padded, read out as the coefficients of 1, sqrt2, sqrt3, sqrt6
+        self._full = itemgetter(*(at.get(r, self.k) for r in _RADICANDS))
+
+    def mul(self, u, v) -> tuple[int, ...]:
+        out = [0] * self.k
+        for i, j, m, q in self.table:
+            out[m] += q * u[i] * v[j]
+        return tuple(out)
+
+    def conjugate(self, u) -> tuple[int, ...]:
+        """The product of u's other conjugates: u * conjugate(u) is an integer."""
+        acc = self.unit
+        for f in self.flips:
+            acc = self.mul(acc, tuple(s * c for s, c in zip(f, u)))
+        return acc
+
+    def sign(self, u) -> int:
+        return _sign4(*self._full(u + (0,)))
+
+    def sort_key(self):
+        """Exact order on values: plain ints over the basis (1,)."""
+        if self.k == 1:
+            return itemgetter(0)
+        return functools.cmp_to_key(lambda u, v: self.sign(tuple(map(sub, u, v))))
+
+
 @dataclass(frozen=True)
 class Polyline:
-    """Traced vertices; entry is first, exit is last."""
+    """Traced vertices, entry first and exit last, on an integer embedding.
 
-    vertices: tuple[tuple, ...]
+    ``points[i]`` holds vertex i axis by axis: for each axis, the integer
+    coefficients of ``denominator`` times the coordinate over the radicands
+    in ``basis``.  On an integer lattice (basis (1,), denominator 1) the
+    points are the vertices themselves.  Build one from exact coordinates
+    with ``Polyline.of``.
+    """
+
+    points: tuple[tuple[int, ...], ...]
+    denominator: int = 1
+    basis: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        if not self.vertices:
+        if not self.points:
             raise GridError("a polyline has at least its entry vertex")
+        first = self.points[0]
+        if len(first) % len(self.basis) or not all(type(c) is int for c in first):
+            raise GridError("polyline points are integer coefficient tuples; "
+                            "use Polyline.of for exact coordinates")
+
+    @classmethod
+    def of(cls, vertices) -> "Polyline":
+        """Embed vertices given as exact coordinates (ints, Fractions, Radicals)."""
+        vs = [tuple(Radical.of(c) for c in v) for v in vertices]
+        coords = [c for v in vs for c in v]
+        basis, den = _closed_basis(coords), _denominator(coords)
+        return cls(tuple(_embed(v, basis, den) for v in vs), den, basis)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices[0])
+        return len(self.points[0]) // len(self.basis)
 
     @property
     def closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1] and len(self.vertices) > 1
+        return self.points[0] == self.points[-1] and len(self.points) > 1
 
     @property
     def edge_count(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.points) - 1
+
+    def is_integral(self) -> bool:
+        return self.basis == (1,) and self.denominator == 1
+
+    @functools.cached_property
+    def vertices(self) -> tuple[tuple, ...]:
+        """Exact coordinates: the points on an integer lattice, else Radicals."""
+        if self.is_integral():
+            return self.points
+        return tuple(self._exact(v) for v in self.points)
+
+    def _exact(self, point) -> tuple:
+        if self.is_integral():
+            return point
+        k, den = len(self.basis), self.denominator
+        out = []
+        for j in range(0, len(point), k):
+            parts = dict(zip(self.basis, point[j:j + k]))
+            out.append(Radical(*(Fraction(parts.get(r, 0), den) for r in _RADICANDS)))
+        return tuple(out)
 
     def float_vertices(self) -> list[tuple[float, ...]]:
-        return [tuple(float(c) for c in v) for v in self.vertices]
+        """Coordinates as floats, bit for bit those of ``float(Radical)``:
+        the same terms are added in the same order."""
+        if self.is_integral():
+            return [tuple(map(float, v)) for v in self.points]
+        k, den = len(self.basis), self.denominator
+        roots = tuple(enumerate((_ROOTS[r] for r in self.basis[1:]), 1))
+        out = []
+        for v in self.points:
+            coords = []
+            for j in range(0, len(v), k):
+                x = v[j] / den
+                for t, root in roots:
+                    x += (v[j + t] / den) * root
+                coords.append(x)
+            out.append(tuple(coords))
+        return out
+
+    def lattice_points(self) -> list[tuple[int, ...] | None]:
+        """Each vertex as an integer tuple, or None where a coordinate is
+        not an integer."""
+        if self.is_integral():
+            return list(self.points)
+        out = []
+        for v in self.points:
+            ints = self._axis_ints(v)
+            out.append(None if None in ints else ints)
+        return out
+
+    def numeric_vertices(self) -> list[tuple[int | float, ...]]:
+        """Each coordinate as an int where it is an integer, else its float."""
+        if self.is_integral():
+            return list(self.points)
+        return [tuple(f if i is None else i for i, f in zip(self._axis_ints(v), fv))
+                for v, fv in zip(self.points, self.float_vertices())]
+
+    def _axis_ints(self, point) -> tuple[int | None, ...]:
+        k, den = len(self.basis), self.denominator
+        out = []
+        for j in range(0, len(point), k):
+            whole, rest = point[j], point[j + 1:j + k]
+            out.append(None if any(rest) or whole % den else whole // den)
+        return tuple(out)
 
 
 def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Polyline:
     """Walk from the origin: vertex_{i+1} = vertex_i + sign * length * u(|digit|).
 
-    Without a length stream every edge uses the raw generator.  Integer
-    grids are traced in plain integer arithmetic.
+    Without a length stream every edge uses the raw generator.  Each
+    distinct (digit, length) step is computed once, exactly, and embedded
+    as an integer vector (see ``Polyline``); the walk itself only adds
+    integer tuples.
     """
     items = s.items
     if lengths is not None and len(lengths) != len(items):
         raise GridError(f"length stream has {len(lengths)} entries for {len(items)} edges")
-    if lengths is None and grid.is_integral():
-        int_gens = [tuple(c.as_int() for c in g) for g in grid.generators]
-        n = len(int_gens)
-        pos = (0,) * grid.dim
-        out = [pos]
-        for k in items:
-            if not 1 <= abs(k) <= n:
-                raise GridError(f"digit {k} out of range for grid with {n} generators")
-            g = int_gens[abs(k) - 1]
-            if k > 0:
-                pos = tuple(p + c for p, c in zip(pos, g))
-            else:
-                pos = tuple(p - c for p, c in zip(pos, g))
-            out.append(pos)
-        return Polyline(tuple(out))
-    zero = Radical()
-    pos = tuple(zero for _ in range(grid.dim))
+    digits = set(items)
+    bad = {k for k in digits if not 1 <= abs(k) <= grid.n}
+    if bad:
+        grid.direction(next(k for k in items if k in bad))  # raises, naming the first
+    if lengths is None:
+        keys = items
+        exact = {k: grid.direction(k) for k in digits}
+        scales: list[Radical] = []
+    else:
+        # sqrt2_pow is cached, so a few length objects recur: hash each
+        # object's value once rather than every edge's
+        objects = {id(ln): ln for ln in lengths}
+        index: dict[Radical, int] = {}
+        code = {i: index.setdefault(Radical.of(ln), len(index)) for i, ln in objects.items()}
+        scales = list(index)
+        keys = [(k, code[id(ln)]) for k, ln in zip(items, lengths)]
+        exact = {(k, c): tuple(x * scales[c] for x in grid.direction(k)) for k, c in set(keys)}
+    basis = _closed_basis([c for g in grid.generators for c in g] + scales)
+    den = _denominator([c for v in exact.values() for c in v])
+    steps = {key: _embed(v, basis, den) for key, v in exact.items()}
+    pos = (0,) * (grid.dim * len(basis))
     out = [pos]
-    for i, k in enumerate(items):
-        step = grid.direction(k)
-        if lengths is not None:
-            ln = lengths[i] if isinstance(lengths[i], Radical) else Radical.of(lengths[i])
-            step = tuple(c * ln for c in step)
-        pos = tuple(p + c for p, c in zip(pos, step))
-        out.append(pos)
-    return Polyline(tuple(out))
+    append = out.append
+    for key in keys:
+        pos = tuple(map(add, pos, steps[key]))
+        append(pos)
+    return Polyline(tuple(out), den, basis)
 
 
 def orientation(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> tuple:
     """Exit minus entry."""
     p = trace(s, grid, lengths)
-    first, last = p.vertices[0], p.vertices[-1]
-    return tuple(b - a for a, b in zip(first, last))
+    return p._exact(tuple(map(sub, p.points[-1], p.points[0])))
 
 
 @dataclass(frozen=True)
@@ -383,25 +572,21 @@ class SelfAvoidanceReport:
     partial_overlap_pairs: int
 
 
-def self_avoidance_report(p: Polyline, check_partial: bool | None = None) -> SelfAvoidanceReport:
+def self_avoidance_report(p: Polyline, check_partial: bool = True) -> SelfAvoidanceReport:
     """Vertex and edge multiplicities plus overlap detection.
 
-    Partial (non-coincident) overlaps of collinear edges are detected for
-    plane polylines; on lattice grids doubled edges already show up in the
-    edge multiplicities.
+    Partial (non-coincident) overlaps of collinear edges are counted for
+    plane polylines of any size unless ``check_partial`` is False; doubled
+    edges show up in the edge multiplicities.
     """
-    verts = p.vertices
-    vcount = Counter(verts)
-    edges = Counter()
-    for aa, bb in zip(verts, verts[1:]):
-        edges[(aa, bb) if _key(aa) <= _key(bb) else (bb, aa)] += 1
+    pts = p.points
+    vcount = Counter(pts)
+    edges = Counter((a, b) if a <= b else (b, a) for a, b in zip(pts, pts[1:]))
     max_v = max(vcount.values()) if vcount else 0
     max_e = max(edges.values()) if edges else 0
     partial_pairs = 0
-    if check_partial is None:
-        check_partial = p.dim == 2 and p.edge_count <= 4096
     if check_partial and p.dim == 2:
-        partial_pairs = _partial_overlap_pairs(verts)
+        partial_pairs = _partial_overlap_pairs(p, edges)
     return SelfAvoidanceReport(
         vertex_count=len(vcount),
         max_vertex_multiplicity=max_v,
@@ -413,65 +598,73 @@ def self_avoidance_report(p: Polyline, check_partial: bool | None = None) -> Sel
     )
 
 
-def _key(v):
-    return tuple((float(c) if isinstance(c, Radical) else c) for c in v)
+def _partial_overlap_pairs(p: Polyline, edges: Counter) -> int:
+    """Count pairs of collinear edges sharing a segment of positive length
+    without coinciding.
 
-
-def _as_radical(x) -> Radical:
-    return x if isinstance(x, Radical) else Radical.of(x)
-
-
-def _partial_overlap_pairs(verts) -> int:
-    """Count pairs of collinear segments sharing more than one point but
-    not coincident.  Buckets by float line key, confirms exactly."""
-    segments = []
-    for a, b in zip(verts, verts[1:]):
-        ax, ay = _as_radical(a[0]), _as_radical(a[1])
-        bx, by = _as_radical(b[0]), _as_radical(b[1])
-        segments.append(((ax, ay), (bx, by)))
-    buckets: dict[tuple, list[int]] = defaultdict(list)
-    for idx, ((ax, ay), (bx, by)) in enumerate(segments):
-        dx, dy = bx - ax, by - ay
-        fdx, fdy = float(dx), float(dy)
-        norm = (fdx * fdx + fdy * fdy) ** 0.5
-        ux, uy = fdx / norm, fdy / norm
-        if (ux, uy) < (-ux, -uy):
-            ux, uy = -ux, -uy
-        offset = float(dx * ay - dy * ax) / norm
-        key = (round(ux, 9), round(uy, 9), round(abs(offset), 9))
-        buckets[key].append(idx)
+    Edges are bucketed on an exact line key: the direction as a reduced
+    slope (or vertical), plus the cross product of that direction with a
+    point of the edge.  Along each line the edges are intervals of x (of y
+    on a vertical line); two intervals overlap unless one ends at or
+    before the other starts, which one bisection per interval counts.
+    Coincident pairs are the doubled ``edges`` and are subtracted.
+    """
+    ring = _Ring(p.basis)
+    k = ring.k
+    key = ring.sort_key()
+    lines_of: dict[tuple, tuple] = {}  # step -> _line_of(step)
+    spans: dict[tuple, list] = defaultdict(list)
+    pts = p.points
+    for a, b in zip(pts, pts[1:]):
+        step = tuple(map(sub, b, a))
+        line = lines_of.get(step)
+        if line is None:
+            line = lines_of[step] = _line_of(ring, step)
+        direction, rows, axis, forward = line
+        if rows is None:
+            continue  # a zero-length edge overlaps nothing
+        offset = tuple([sum(map(mul, row, a)) for row in rows])
+        ta, tb = key(a[axis:axis + k]), key(b[axis:axis + k])
+        spans[direction, offset].append((ta, tb) if forward else (tb, ta))
     pairs = 0
-    for idxs in buckets.values():
-        if len(idxs) < 2:
-            continue
-        for i in range(len(idxs)):
-            for j in range(i + 1, len(idxs)):
-                if _segments_partial_overlap(segments[idxs[i]], segments[idxs[j]]):
-                    pairs += 1
-    return pairs
+    for ivs in spans.values():
+        n = len(ivs)
+        if n > 1:
+            ends = sorted(hi for _, hi in ivs)
+            pairs += n * (n - 1) // 2 - sum(bisect_right(ends, lo) for lo, _ in ivs)
+    return pairs - sum(c * (c - 1) // 2 for (a, b), c in edges.items() if a != b)
 
 
-def _segments_partial_overlap(s1, s2) -> bool:
-    (a1, a2), (b1, b2) = s1[0], s1[1]
-    (c1, c2), (d1, d2) = s2[0], s2[1]
-    e1, e2 = b1 - a1, b2 - a2
-    f1, f2 = d1 - c1, d2 - c2
-    if not (e1 * f2 - e2 * f1).is_zero():
-        return False
-    if not (e1 * (c2 - a2) - e2 * (c1 - a1)).is_zero():
-        return False
-    # same line: compare parameter intervals along (e1, e2)
-    t_a = a1 * e1 + a2 * e2
-    t_b = b1 * e1 + b2 * e2
-    t_c = c1 * e1 + c2 * e2
-    t_d = d1 * e1 + d2 * e2
-    lo1, hi1 = (t_a, t_b) if t_a <= t_b else (t_b, t_a)
-    lo2, hi2 = (t_c, t_d) if t_c <= t_d else (t_d, t_c)
-    if lo1 == lo2 and hi1 == hi2:
-        return False  # coincident: reported via edge multiplicities
-    lo = lo1 if lo2 <= lo1 else lo2
-    hi = hi1 if hi1 <= hi2 else hi2
-    return lo < hi
+def _line_of(ring: _Ring, step) -> tuple:
+    """What edges along ``step`` share: the line direction, the rows of the
+    linear map from an edge's first point to its line offset, where the
+    coordinate that orders points on the line starts in a point, and
+    whether the step runs forward along that coordinate.
+
+    The direction is the slope ey/ex = v/n with n > 0 and gcd 1, or
+    vertical; the offset is n*y - v*x, or -x on a vertical line.
+    """
+    k = ring.k
+    ex, ey = step[:k], step[k:]
+    if not any(ex):
+        if not any(ey):
+            return None, None, 0, True
+        n, v, axis, forward = 0, ring.unit, k, ring.sign(ey) > 0
+    else:
+        conj = ring.conjugate(ex)
+        n = ring.mul(ex, conj)[0]
+        v = ring.mul(ey, conj)
+        g = math.gcd(n, *v)
+        if n < 0:
+            g = -g
+        n, v, axis, forward = n // g, tuple(c // g for c in v), 0, ring.sign(ex) > 0
+    # offset_t = n*y_t - (v*x)_t, as a row of coefficients on (x..., y...)
+    rows = [[0] * (2 * k) for _ in range(k)]
+    for t in range(k):
+        rows[t][k + t] = n
+    for i, j, m, q in ring.table:
+        rows[m][j] -= q * v[i]
+    return (n, v), tuple(tuple(r) for r in rows), axis, forward
 
 
 @dataclass(frozen=True)
@@ -489,8 +682,7 @@ def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...], misse
     if len(lo) != dim or len(hi) != dim:
         raise GridError("box dimension mismatch")
     counts: Counter = Counter()
-    for v in p.vertices:
-        iv = _int_vertex(v)
+    for iv in p.lattice_points():
         if iv is not None and all(l <= c <= h for c, l, h in zip(iv, lo, hi)):
             counts[iv] += 1
     total = 1
@@ -507,21 +699,6 @@ def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...], misse
         each_exactly_once=visited == total and all(c == 1 for c in counts.values()),
         missed=tuple(missed),
     )
-
-
-def _int_vertex(v) -> tuple[int, ...] | None:
-    out = []
-    for c in v:
-        if isinstance(c, int):
-            out.append(c)
-        elif isinstance(c, Radical):
-            i = c.as_int()
-            if i is None:
-                return None
-            out.append(i)
-        else:
-            return None
-    return tuple(out)
 
 
 def _first_missed(counts, lo, hi, cap):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Polyline, Radical
+from .geometry import Polyline
 
 
 class RenderError(ValueError):
@@ -120,33 +120,21 @@ def _lerp(a, b, t):
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
-def _coord_str(c) -> str:
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, Radical):
-        i = c.as_int()
-        if i is not None:
-            return str(i)
-        return repr(float(c))
-    return repr(float(c))
-
-
 def export_vertices(p: Polyline, format: str = "csv") -> bytes:
     """CSV of coordinates (header x1..xd), or an OBJ polyline for 3D."""
     if format == "csv":
         dim = p.dim
         lines = [",".join(f"x{i + 1}" for i in range(dim))]
-        for v in p.vertices:
-            lines.append(",".join(_coord_str(c) for c in v))
+        # integers print as integers, other coordinates as their float repr
+        for v in p.numeric_vertices():
+            lines.append(",".join(map(repr, v)))
         lines.append("")
         return "\n".join(lines).encode("ascii")
     if format == "obj":
         if p.dim != 3:
             raise RenderError("OBJ export is for 3D polylines")
-        lines = []
-        for v in p.vertices:
-            lines.append("v " + " ".join(_fmt(float(c)) for c in v))
-        lines.append("l " + " ".join(str(i + 1) for i in range(len(p.vertices))))
+        lines = ["v " + " ".join(_fmt(c) for c in v) for v in p.float_vertices()]
+        lines.append("l " + " ".join(str(i + 1) for i in range(len(lines))))
         lines.append("")
         return "\n".join(lines).encode("ascii")
     raise RenderError(f"unknown format {format!r}")

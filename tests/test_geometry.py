@@ -175,10 +175,10 @@ def test_partial_overlap_simple_case():
     vs2 = ((Radical.of(1), Radical.of(0)),)
     from fracseq.geometry import Polyline
 
-    p = Polyline((vs[0], vs[1], (Radical.of(2), Radical.of(1)),
-                  (Radical.of(1), Radical.of(1)), vs2[0]))
+    p = Polyline.of((vs[0], vs[1], (Radical.of(2), Radical.of(1)),
+                     (Radical.of(1), Radical.of(1)), vs2[0]))
     # last edge runs from (1,1) down to (1,0)? build a clean overlap instead
-    p = Polyline((
+    p = Polyline.of((
         (Radical.of(0), Radical.of(0)), (Radical.of(2), Radical.of(0)),
         (Radical.of(2), Radical.of(1)), (Radical.of(1), Radical.of(1)),
         (Radical.of(1), Radical.of(0)), (Radical.of(3), Radical.of(0)),

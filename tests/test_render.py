@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from fracseq.catalog import hilbert_original_system
+from fracseq.catalog import get_entry, hilbert_original_system
+from fracseq.cli import main
 from fracseq.geometry import cubic_grid, square_grid, trace
 from fracseq.gray import HILBERT_SPECS, gray_sequence, hilbert_system
 from fracseq.render import RenderError, RenderOptions, export_vertices, svg_export
@@ -95,3 +98,30 @@ def test_options_validation():
         RenderOptions(scale=0)
     with pytest.raises(RenderError):
         RenderOptions(projection="weird")
+
+
+# SHA-256 of exports whose coordinates involve sqrt2 (or 3D floats), taken
+# from the Radical-arithmetic trace that the integer embedding replaced: the
+# float conversion must keep every byte
+GOLDEN_SVG = {
+    ("v1-dragon-8roots", 7): "5e0c9a7a63f117d2828a67c673d23be9813db0407f277605ed090f0bbef39803",
+    ("v1-dragon-sqdiag", 7): "40de5a09e2d418dc625b7245a5980be7a8149188f355e7e1f631ab5a5cb08d07",
+    ("arndt-peano-truncated", 3): "76d35d006938457d8b9d8f9741ed99e2022afaa792b1f02f8eed98ace8959c41",
+}
+
+
+@pytest.mark.parametrize("entry_id, level", sorted(GOLDEN_SVG))
+def test_sqrt2_grid_svg_bytes(entry_id, level, tmp_path, capsys):
+    out = tmp_path / "curve.svg"
+    assert main(["render", entry_id, "--level", str(level), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG[entry_id, level]
+
+
+def test_sqrt2_grid_csv_and_3d_obj_bytes():
+    dragon = get_entry("v1-dragon-8roots")
+    csv = export_vertices(trace(iterate(dragon.system, 3), dragon.grid), "csv")
+    assert hashlib.sha256(csv).hexdigest() == "dfe750bb12eed6749e77aaf2e7f3754a9f8c156448dae3429b4a47567339aba7"
+    assert csv.split(b"\n")[4] == b"0.2928932188134524,1.7071067811865475"
+    hilbert = get_entry("hilbert-3d-origin")
+    obj = export_vertices(trace(iterate(hilbert.system, 1), hilbert.grid), "obj")
+    assert hashlib.sha256(obj).hexdigest() == "d751eb60945d990438b85f4e60464dd4e597474d1965c5ba0ce59cba97d8ddbf"
