@@ -7,19 +7,23 @@ smaller magnitudes first), under which the Mandelbrot island sorts
 immediately before the Mandelbrot flowsnake: the two share seven leading
 terms and differ first at position eight (2 versus -2).
 
-``verify_entry`` re-derives everything checkable at desk scale: prefix
-equality, normalization, the extending property, and the per-curve
-geometric claims (coverage, edge multiplicities, closedness,
-hyper-orthogonality, lattice alignment, expected partial overlaps).
+``generate_entry`` reads the entry's levels off one ``levels`` stream
+until the requested prefix agrees between two successive levels, and
+validates only the terms it returns.  ``verify_entry`` re-derives
+everything checkable at desk scale: prefix equality, normalization, the
+extending property, and the per-curve geometric claims (coverage, edge
+multiplicities, closedness, hyper-orthogonality, lattice alignment,
+expected partial overlaps); the prefix and every check read their levels
+from one stream of the entry's system, so each level is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .geometry import (
     Grid,
-    Polyline,
     coverage_report,
     cubic_grid,
     dragon_axes_grid,
@@ -45,9 +49,8 @@ from .substitution import (
     SubstitutionSystem,
     Term,
     WholeCurveRule,
-    check_extending,
-    iterate,
-    iterate_full,
+    extending,
+    levels,
 )
 
 
@@ -482,36 +485,59 @@ def get_entry(entry_id: str) -> CatalogEntry:
 GENERATION_CAP = 10**6
 
 
-def generate_entry(entry_id: str, count: int):
+class _Levels:
+    """One system's level stream, each level built once, on first use, and
+    kept for every later reader."""
+
+    def __init__(self, system: SubstitutionSystem):
+        self._stream = levels(system)
+        self._built: list[tuple] = []
+        self._digiset = system.digiset
+
+    def raw(self, k: int) -> tuple:
+        """Level k as the stream's (digits, length exponents) tuple."""
+        while len(self._built) <= k:
+            self._built.append(next(self._stream))
+        return self._built[k]
+
+    def seq(self, k: int, end: int | None = None) -> SignedSequence:
+        """Level k's digits up to ``end`` (-1 drops the exit edge)."""
+        return SignedSequence(self.raw(k)[0][:end], self._digiset)
+
+
+def generate_entry(entry_id: str, count: int, memo: _Levels | None = None):
     """First ``count`` terms of the entry's sequence, choosing the iteration
-    depth automatically.  Returns (sequence, length_exponents | None)."""
+    depth automatically.  Returns (sequence, length_exponents | None).
+
+    ``memo`` is a level stream of the entry's system already open, such as
+    the one ``verify_entry`` shares with its checks; by default a new one."""
     entry = get_entry(entry_id)
     if count < 0:
         raise CatalogError("count must be nonnegative")
     if count > GENERATION_CAP:
         raise CatalogError(f"count {count} exceeds cap {GENERATION_CAP}")
-    seq, exps = _stable_prefix(entry, count)
-    return SignedSequence(seq[:count], entry.digiset), (exps[:count] if exps is not None else None)
+    items, exps = _stable_prefix(entry, count, memo or _Levels(entry.system))
+    return SignedSequence(items[:count], entry.digiset), (exps[:count] if exps is not None else None)
 
 
-def _stable_prefix(entry: CatalogEntry, count: int):
-    """Iterate until the first ``count`` items agree between two successive
-    levels; handles the one catalog curve that is not extending.
+def _stable_prefix(entry: CatalogEntry, count: int, memo: _Levels):
+    """Read levels until the first ``count`` items agree between two
+    successive ones; handles the one catalog curve that is not extending.
 
-    A pairlift cannot read out a one-edge base (no pair context), so its
-    level 0 is skipped then.  Any other failure, such as a level over the
-    item cap, ends the search at once."""
-    system = entry.system
-    first = 1 if system.kind == "pairlift" and len(iterate(system.base, 0)) < 2 else 0
-    prev = prev_exps = None
-    for k in range(first, 64):
+    A level a pairlift cannot lift (a one-edge base has no pair context) is
+    skipped.  Any other failure, such as a level over the item cap, ends
+    the search at once."""
+    prev = None
+    for k in range(64):
         try:
-            cur, cur_exps = iterate_full(system, k)
+            cur = memo.raw(k)
         except RuleError as exc:
             raise CatalogError(f"{entry.id}: {exc}") from None
-        if prev is not None and len(prev) >= count and prev.items[:count] == cur.items[:count]:
-            return prev.items, prev_exps
-        prev, prev_exps = cur, cur_exps
+        if cur[0] is None:
+            continue
+        if prev is not None and len(prev[0]) >= count and prev[0][:count] == cur[0][:count]:
+            return prev
+        prev = cur
     raise CatalogError(f"prefix of {count} terms did not stabilize")
 
 
@@ -534,12 +560,14 @@ class EntryReport:
 
 def verify_entry(entry_id: str) -> EntryReport:
     """Run every declared check for one entry; failures land in the report,
-    not in an exception."""
+    not in an exception.  The prefix and every check read their levels
+    from one stream of the entry's system."""
     entry = get_entry(entry_id)
-    got, _ = generate_entry(entry.id, len(entry.expected_prefix))
+    memo = _Levels(entry.system)
+    got, _ = generate_entry(entry.id, len(entry.expected_prefix), memo)
     results = [_check_prefix(entry, got), _check_normalized(got)]
     for name in entry.checks:
-        results.append(_run_check(entry, name))
+        results.append(_run_check(entry, name, memo))
     return EntryReport(entry_id=entry_id, checks=tuple(results))
 
 
@@ -554,31 +582,33 @@ def _check_normalized(got: SignedSequence) -> CheckResult:
     return CheckResult("normalized", is_normalized(got))
 
 
-def _run_check(entry: CatalogEntry, name: str) -> CheckResult:
+def _run_check(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
     try:
         fn = _CHECKS[name.split(":")[0]]
     except KeyError:
         return CheckResult(name, False, "unknown check")
-    return fn(entry, name)
+    return fn(entry, name, memo)
 
 
-def _check_extending(entry: CatalogEntry, name: str) -> CheckResult:
-    return CheckResult(name, check_extending(entry.system, 3))
+def _check_extending(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    return CheckResult(name, extending(memo.raw(k)[0] for k in range(4)))
 
 
-def _check_closed(entry: CatalogEntry, name: str) -> CheckResult:
+def _check_closed(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
     for k in range(0, 4):
-        p = trace(iterate(entry.system, k), entry.grid)
+        p = trace(memo.seq(k), entry.grid)
         if not p.closed:
             return CheckResult(name, False, f"open at level {k}")
     return CheckResult(name, True)
 
 
-def _check_vertex_covering(entry: CatalogEntry, name: str, drop_exit: bool = False) -> CheckResult:
-    level = 3
-    s = iterate(entry.system, level)
-    items = s.items[:-1] if drop_exit else s.items
-    p = trace(SignedSequence(items, s.digiset), entry.grid)
+def _check_box_covering(
+    entry: CatalogEntry, name: str, memo: _Levels, level: int, drop_exit: bool
+) -> CheckResult:
+    """The level's vertices, less the exit edge (the connector out of the
+    box) when ``drop_exit``, fill a box of side 2**(level + start level)
+    once each."""
+    p = trace(memo.seq(level, -1 if drop_exit else None), entry.grid)
     lo = tuple(min(v[i] for v in p.vertices) for i in range(p.dim))
     hi = tuple(max(v[i] for v in p.vertices) for i in range(p.dim))
     side = 2 ** (level + entry.system.start_level)
@@ -588,62 +618,34 @@ def _check_vertex_covering(entry: CatalogEntry, name: str, drop_exit: bool = Fal
     return CheckResult(name, ok, f"box {lo}..{hi}, visited {rep.visited}/{rep.total}")
 
 
-def _check_vertex_covering_sans_exit(entry: CatalogEntry, name: str) -> CheckResult:
-    return _check_vertex_covering(entry, name, drop_exit=True)
+def _check_edge_covering(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    # no doubled edge and no vertex visited 3+ times: a vertex with four
+    # distinct incident edges is then visited exactly twice
+    rep = self_avoidance_report(trace(memo.seq(2), entry.grid), check_partial=False)
+    ok = rep.edge_covering
+    return CheckResult(name, ok, "" if ok else "an edge is doubled or a vertex seen 3+ times")
 
 
-def _check_edge_covering(entry: CatalogEntry, name: str) -> CheckResult:
-    s = iterate(entry.system, 2)
-    p = trace(s, entry.grid)
-    rep = self_avoidance_report(p, check_partial=False)
-    if not rep.edge_covering:
-        return CheckResult(name, False, "an edge is doubled or a vertex seen 3+ times")
-    ok = _interior_vertices_twice(p)
-    return CheckResult(name, ok, "" if ok else "an interior vertex is not visited exactly twice")
-
-
-def _interior_vertices_twice(p: Polyline) -> bool:
-    from collections import Counter, defaultdict
-
-    vcount = Counter(p.vertices)
-    incident = defaultdict(set)
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        incident[a].add((a, b))
-        incident[a].add((b, a))
-        incident[b].add((a, b))
-        incident[b].add((b, a))
-    for v, edges in incident.items():
-        if len(edges) // 2 == 4 and vcount[v] != 2:
-            return False
-    return True
-
-
-def _check_edge_simple(entry: CatalogEntry, name: str) -> CheckResult:
-    s = iterate(entry.system, 2)
-    p = trace(s, entry.grid)
-    rep = self_avoidance_report(p, check_partial=False)
+def _check_edge_simple(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    rep = self_avoidance_report(trace(memo.seq(2), entry.grid), check_partial=False)
     return CheckResult(name, rep.max_edge_multiplicity <= 1,
                        f"max edge multiplicity {rep.max_edge_multiplicity}")
 
 
-def _check_successor_constraint(entry: CatalogEntry, name: str) -> CheckResult:
-    s = iterate(entry.system, 2)
-    bad = successor_violations(s, TRUNCATED_SQUARE_SUCCESSORS)
+def _check_successor_constraint(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    bad = successor_violations(memo.seq(2), TRUNCATED_SQUARE_SUCCESSORS)
     return CheckResult(name, not bad, "" if not bad else f"first violation {bad[0]}")
 
 
-def _check_partial_overlap_expected(entry: CatalogEntry, name: str) -> CheckResult:
-    s = iterate(entry.system, 4)
-    p = trace(s, entry.grid)
-    rep = self_avoidance_report(p)
+def _check_partial_overlap_expected(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    rep = self_avoidance_report(trace(memo.seq(4), entry.grid))
     return CheckResult(name, rep.has_overlap and rep.partial_overlap_pairs > 0,
                        f"partial overlap pairs: {rep.partial_overlap_pairs}")
 
 
-def _check_lattice_vertices(entry: CatalogEntry, name: str) -> CheckResult:
-    seq, exps = iterate_full(entry.system, 5)
-    lengths = [sqrt2_pow(e) for e in exps]
-    p = trace(seq, entry.grid, lengths)
+def _check_lattice_vertices(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    lengths = [sqrt2_pow(e) for e in memo.raw(5)[1]]
+    p = trace(memo.seq(5), entry.grid, lengths)
     off = next((i for i, v in enumerate(p.lattice_points()) if v is None), None)
     if off is not None:
         return CheckResult(name, False, f"vertex {off} has a non-integer coordinate")
@@ -659,8 +661,8 @@ def ternary_ones(n: int) -> int:
     return c
 
 
-def _check_length_log_oracle(entry: CatalogEntry, name: str) -> CheckResult:
-    _, exps = iterate_full(entry.system, 6)
+def _check_length_log_oracle(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    exps = memo.raw(6)[1]
     want = [ternary_ones(i // 2) for i in range(len(exps))]
     ok = list(exps) == want
     if ok and entry.length_log_prefix is not None:
@@ -668,34 +670,16 @@ def _check_length_log_oracle(entry: CatalogEntry, name: str) -> CheckResult:
     return CheckResult(name, ok)
 
 
-def _check_hyper_orthogonal(entry: CatalogEntry, name: str) -> CheckResult:
+def _check_hyper_orthogonal(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
     order = int(name.split(":")[1])
     level = 3 if entry.system.digiset.size == 3 else 2
-    s = iterate(entry.system, level)
-    return CheckResult(name, is_hyper_orthogonal(s, order))
+    return CheckResult(name, is_hyper_orthogonal(memo.seq(level), order))
 
 
-def _check_cube_covering(entry: CatalogEntry, name: str) -> CheckResult:
-    level = 2
-    s = iterate(entry.system, level)
-    d = entry.digiset.size
-    items = s.items[:-1]  # the final edge is the connector out of the cube
-    p = trace(SignedSequence(items, s.digiset), entry.grid)
-    lo = tuple(min(v[i] for v in p.vertices) for i in range(d))
-    hi = tuple(max(v[i] for v in p.vertices) for i in range(d))
-    rep = coverage_report(p, lo, hi)
-    side = 2 ** (level + entry.system.start_level)
-    side_ok = all(h - l + 1 == side for l, h in zip(lo, hi))
-    return CheckResult(name, rep.each_exactly_once and side_ok,
-                       f"visited {rep.visited}/{rep.total}")
-
-
-def _check_hamiltonian_cube(entry: CatalogEntry, name: str) -> CheckResult:
-    from .gray import gray_sequence
-
+def _check_hamiltonian_cube(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+    # level 6 less its exit edge: the steps of the 6-bit reflected Gray code
     d = 6
-    s = gray_sequence(d)
-    p = trace(s, cubic_grid(d))
+    p = trace(memo.seq(d, -1), cubic_grid(d))
     verts = set(p.vertices)
     ok = len(p.vertices) == 2**d and len(verts) == 2**d and all(
         all(c in (0, 1) for c in v) for v in verts
@@ -703,18 +687,16 @@ def _check_hamiltonian_cube(entry: CatalogEntry, name: str) -> CheckResult:
     return CheckResult(name, ok)
 
 
-def _check_gray_hyper_orthogonal(entry: CatalogEntry, name: str) -> CheckResult:
-    from .gray import gray_sequence
-
+def _check_gray_hyper_orthogonal(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
     d = 6
-    return CheckResult(name, is_hyper_orthogonal(gray_sequence(d), d - 1))
+    return CheckResult(name, is_hyper_orthogonal(memo.seq(d, -1), d - 1))
 
 
 _CHECKS = {
     "extending": _check_extending,
     "closed": _check_closed,
-    "vertex-covering": _check_vertex_covering,
-    "vertex-covering-sans-exit": _check_vertex_covering_sans_exit,
+    "vertex-covering": partial(_check_box_covering, level=3, drop_exit=False),
+    "vertex-covering-sans-exit": partial(_check_box_covering, level=3, drop_exit=True),
     "edge-covering": _check_edge_covering,
     "edge-simple": _check_edge_simple,
     "successor-constraint": _check_successor_constraint,
@@ -722,7 +704,7 @@ _CHECKS = {
     "lattice-vertices": _check_lattice_vertices,
     "length-log-oracle": _check_length_log_oracle,
     "hyper-orthogonal": _check_hyper_orthogonal,
-    "cube-covering": _check_cube_covering,
+    "cube-covering": partial(_check_box_covering, level=2, drop_exit=True),
     "hamiltonian-cube": _check_hamiltonian_cube,
     "gray-hyper-orthogonal": _check_gray_hyper_orthogonal,
 }

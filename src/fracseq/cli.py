@@ -156,8 +156,9 @@ def _cmd_rule_check(args) -> int:
                 pass
         print("commutes with: " + (", ".join(commuting) if commuting else "none of mu, tau_x, tau_y, tau_d"))
     if sys_.start or sys_.kind == "wholecurve":
-        preview = iterate(sys_, 0 if sys_.kind == "pairlift" else 2)
-        print(f"level-2 preview: {_fmt_seq(preview.items[:24])}")
+        # a pairlift read from a rule file has only its start level
+        level = 0 if sys_.kind == "pairlift" else 2
+        print(f"level-{level} preview: {_fmt_seq(iterate(sys_, level).items[:24])}")
     return 0 if expansive else 1
 
 

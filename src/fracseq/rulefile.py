@@ -177,7 +177,6 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
     current_state: str | None = None
     output_state: str | None = None
     post: PostTransform | None = None
-    declared_states: list[str] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -206,8 +205,6 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
             if arg not in ("edgewise", "digitwise", "wholecurve", "pairlift"):
                 raise ParseError(f"unknown kind {arg!r}", line_no, arg_col)
             kind = arg
-        elif head == "state":
-            declared_states.append(arg)
         elif head == "start":
             parts = arg.split(None, 1)
             if kind == "wholecurve":
@@ -255,12 +252,10 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
                     atom = ConnectorAtom(digit, parse_perm(m.group(1)), m.group(2))
             else:
                 atom = StateAtom(target, _parse_term(payload, line_no, arg_col))
-            state = current_state if current_state is not None else (declared_states[0] if declared_states else None)
-            if state is None:
+            if current_state is None:
                 # single-state systems may omit `rule`; synthesize one state
-                state = "S"
-                current_state = state
-            productions.setdefault(state, []).append(atom)
+                current_state = "S"
+            productions.setdefault(current_state, []).append(atom)
         elif head == "output":
             output_state = arg
         elif head == "post":

@@ -20,11 +20,15 @@ Sequences*, 2003, ch. 6-7), and every rule kind runs on one kernel:
 A ``pairlift`` is neither: it re-codes overlapping digit pairs of its base
 system's output, one lifted pair per input edge.
 
+``levels`` runs a system as one stream of approximants, levels 0, 1, 2,
+..., each built once from the one before; ``iterate_full`` reads one level
+off a new stream, ``check_extending`` compares successive levels of one.
+
 Terms with a ``scale_pow`` give a system a parallel length stream: each
 edge's length as an integer power of sqrt 2, starting at 0 on every start
 edge.  The kernel that runs the digits carries it in the same order.
 Both kernels compute the next level's length before building it and refuse
-a level over ``max_items``.
+a level over ``max_items``, which ends the stream.
 
 Levels count applications from the system's start (`start_level` names the
 level of the start itself).  Alternating signs, connector powers and
@@ -36,8 +40,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Mapping
+from itertools import chain, count, islice, pairwise
+from typing import Callable, Iterator, Mapping
 
 from .perms import SignedPermutation, apply_items, compose, identity, power
 from .sequences import Digiset, SignedSequence
@@ -298,31 +302,26 @@ class PairRule:
 
 
 def expand_pairwise(rule: PairRule, s: SignedSequence, closed: bool = False) -> SignedSequence:
-    """Emit one lifted pair per input edge.
-
-    The final edge has no successor: a closed curve wraps around to the
-    first edge, an open one re-emits the image of its last covered pair.
-    """
-    items = s.items
-    if not items:
+    """Emit one lifted pair per input edge."""
+    if not s.items:
         return SignedSequence((), s.digiset)
-    out: list[int] = []
+    top = max(max(abs(a), abs(b)) for a, b in rule.mapping.values())
+    return SignedSequence(_read(_lift(rule, s.items, closed)), Digiset(top))
+
+
+def _lift(rule: PairRule, items: tuple[int, ...], closed: bool = False) -> tuple[int, ...] | None:
+    """One lifted pair per edge.  The final edge has no successor: a closed
+    curve wraps around to the first edge, an open one re-emits the image of
+    its last covered pair.  One open edge has no pair context: None."""
     n = len(items)
+    if n < 2 and not closed:
+        return None if items else ()
+    out: list[int] = []
     for i in range(n - 1):
         out.extend(rule.image((items[i], items[i + 1]), i))
-    if closed:
-        out.extend(rule.image((items[-1], items[0]), n - 1))
-    elif n >= 2:
-        out.extend(rule.image((items[-2], items[-1]), n - 1))
-    else:
-        raise RuleError("cannot lift a single open edge: no pair context")
-    lifted_digiset = _lifted_digiset(rule)
-    return SignedSequence(tuple(out), lifted_digiset)
-
-
-def _lifted_digiset(rule: PairRule) -> Digiset:
-    top = max(max(abs(a), abs(b)) for a, b in rule.mapping.values())
-    return Digiset(top)
+    last = (items[-1], items[0]) if closed else (items[-2], items[-1])
+    out.extend(rule.image(last, n - 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,8 @@ def _refuse_over_cap(size: int, k: int, max_items: int) -> None:
         raise RuleError(f"item cap {max_items} exceeded at level {k}: it would have {size} items")
 
 
-def _morphism(sys_: SubstitutionSystem, k: int, max_items: int):
-    """Morphism kernel: (digits, length stream or None) after k levels.
+def _morphism(sys_: SubstitutionSystem, max_items: int):
+    """Morphism kernel: (digits, length stream or None) at levels 0, 1, ...
 
     Token counts give each level's length before the level is built; the
     tokens that occur pick the entries of the next image table.
@@ -388,7 +387,8 @@ def _morphism(sys_: SubstitutionSystem, k: int, max_items: int):
     stream = tuple(sys_.start)
     exps = (0,) * len(stream) if any(scales) else None
     counts = Counter(stream)
-    for level in range(sys_.start_level, sys_.start_level + k):
+    for level in count(sys_.start_level):
+        yield (stream if sys_.kind == "edgewise" else project(stream)), exps
         table = {v: image(v, level) for v in counts}
         nxt: Counter = Counter()
         for v, c in counts.items():
@@ -399,12 +399,11 @@ def _morphism(sys_: SubstitutionSystem, k: int, max_items: int):
         if exps is not None:
             exps = tuple(e + s for e in exps for s in scales)
         counts = nxt
-    return (stream if sys_.kind == "edgewise" else project(stream)), exps
 
 
-def _production(sys_: SubstitutionSystem, k: int, max_items: int):
-    """Production kernel: (read-out digits, length stream or None) after k
-    levels.  An edgewise rule runs as the single state ``""``."""
+def _production(sys_: SubstitutionSystem, max_items: int):
+    """Production kernel: (read-out digits, length stream or None) at levels
+    0, 1, ...  An edgewise rule runs as the single state ``""``."""
     if sys_.kind == "edgewise":
         atoms = tuple(StateAtom("", t) for t in sys_.rule.terms)
         rule = WholeCurveRule({"": atoms}, {"": tuple(sys_.start)}, "")
@@ -415,7 +414,11 @@ def _production(sys_: SubstitutionSystem, k: int, max_items: int):
         isinstance(a, StateAtom) and a.term.scale_pow for atoms in rule.productions.values() for a in atoms
     )
     exps = {name: (0,) * len(items) for name, items in states.items()} if scaled else None
-    for level in range(sys_.start_level, sys_.start_level + k):
+    for level in count(sys_.start_level):
+        out = states[rule.output_state]
+        if rule.normalizer is not None:
+            out = rule.normalizer.apply_at(level, out)
+        yield out, (exps[rule.output_state] if exps is not None else None)
         sizes = [
             sum(len(states[a.state]) if isinstance(a, StateAtom) else 1 for a in atoms)
             for atoms in rule.productions.values()
@@ -429,10 +432,6 @@ def _production(sys_: SubstitutionSystem, k: int, max_items: int):
                 name: tuple(chain.from_iterable(_atom_lengths(a, exps) for a in atoms))
                 for name, atoms in rule.productions.items()
             }
-    out = states[rule.output_state]
-    if rule.normalizer is not None:
-        out = rule.normalizer.apply_at(sys_.start_level + k, out)
-    return out, (exps[rule.output_state] if exps is not None else None)
 
 
 def _atom_lengths(a: Atom, exps: Mapping[str, tuple[int, ...]]) -> tuple[int, ...]:
@@ -442,6 +441,39 @@ def _atom_lengths(a: Atom, exps: Mapping[str, tuple[int, ...]]) -> tuple[int, ..
         return (0,)
     src = exps[a.state][::-1] if a.term.reverse else exps[a.state]
     return tuple(e + a.term.scale_pow for e in src)
+
+
+def levels(sys_: SubstitutionSystem, max_items: int = ITEM_CAP) -> Iterator[tuple]:
+    """The system's approximants as raw ``(digits, length exponents or None)``
+    tuples for levels 0, 1, 2, ..., each built from the one before.
+
+    Digitwise rules and edgewise rules without a reversing term run on the
+    morphism kernel, the rest on the production kernel; a pairlift lifts
+    each level of its base system (or only its own start), and a level it
+    cannot lift, one open edge without pair context, comes out as
+    ``(None, None)``.  A level over ``max_items`` raises ``RuleError``
+    before it is built, which ends the stream.
+    """
+    if sys_.kind == "pairlift":
+        base = levels(sys_.base, max_items) if sys_.base is not None else _start_level_only(sys_)
+        for k, (items, _) in enumerate(base):
+            _refuse_over_cap(2 * len(items), k, max_items)
+            yield _lift(sys_.rule, items), None
+    elif sys_.kind == "digitwise" or (sys_.kind == "edgewise" and not sys_.rule.has_reverse):
+        yield from _morphism(sys_, max_items)
+    else:
+        yield from _production(sys_, max_items)
+
+
+def _start_level_only(sys_: SubstitutionSystem):
+    yield tuple(sys_.start), None
+    raise RuleError("a pairlift without a base system only has its start level")
+
+
+def _read(items: tuple[int, ...] | None) -> tuple[int, ...]:
+    if items is None:
+        raise RuleError("cannot lift a single open edge: no pair context")
+    return items
 
 
 def iterate(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> SignedSequence:
@@ -458,42 +490,23 @@ def iterate_full(
     sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP
 ) -> tuple[SignedSequence, tuple[int, ...] | None]:
     """Like ``iterate`` but also returns the sqrt(2)-exponent length stream
-    when a term of the system scales, else None.
-
-    Digitwise rules and edgewise rules without a reversing term run on the
-    morphism kernel, the rest on the production kernel; a pairlift re-codes
-    its base system's output.
-    """
+    when a term of the system scales, else None: level k of ``levels``."""
     if k < 0:
         raise RuleError("level must be nonnegative")
-    if sys_.kind == "pairlift":
-        if sys_.base is not None:
-            base_seq = iterate(sys_.base, k, max_items)
-        else:
-            if k > 0:
-                raise RuleError("a pairlift without a base system only has its start level")
-            base_seq = SignedSequence(tuple(sys_.start), Digiset(None))
-        _refuse_over_cap(2 * len(base_seq), k, max_items)
-        lifted = expand_pairwise(sys_.rule, base_seq)
-        return SignedSequence(lifted.items, sys_.digiset), None
-    if sys_.kind == "digitwise" or (sys_.kind == "edgewise" and not sys_.rule.has_reverse):
-        items, exps = _morphism(sys_, k, max_items)
-    else:
-        items, exps = _production(sys_, k, max_items)
-    return SignedSequence(items, sys_.digiset), exps
+    items, exps = next(islice(levels(sys_, max_items), k, None))
+    return SignedSequence(_read(items), sys_.digiset), exps
 
 
 def check_extending(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> bool:
     """True iff every approximant up to level k starts with the previous one."""
     if k < 1:
         raise RuleError("need k >= 1")
-    prev = iterate(sys_, 0, max_items).items
-    for j in range(1, k + 1):
-        cur = iterate(sys_, j, max_items).items
-        if cur[: len(prev)] != prev:
-            return False
-        prev = cur
-    return True
+    return extending(items for items, _ in islice(levels(sys_, max_items), k + 1))
+
+
+def extending(approximants) -> bool:
+    """True iff each digit tuple starts with the one before it."""
+    return all(cur[: len(prev)] == prev for prev, cur in pairwise(map(_read, approximants)))
 
 
 def check_commutation(rule, p: SignedPermutation, digiset: Digiset | None = None) -> bool:

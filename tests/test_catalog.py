@@ -168,17 +168,70 @@ def test_verify_entry_generates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_entry_reads_one_level_stream(monkeypatch):
+    from fracseq import catalog
+
+    opened, built = [], []
+    original = catalog.levels
+
+    def recording(system, *rest):
+        opened.append(system.name)
+        for k, level in enumerate(original(system, *rest)):
+            built.append((system.name, k))
+            yield level
+
+    monkeypatch.setattr(catalog, "levels", recording)
+    for entry_id in ("gray", "v1-dragon-sqdiag", "arndt-peano-truncated", "hilbert-3d-origin"):
+        opened.clear()
+        built.clear()
+        assert verify_entry(entry_id).passed, entry_id
+        assert len(opened) == 1, entry_id
+        assert len(built) == len(set(built)), entry_id
+
+
+def test_generate_entry_validates_only_the_terms_it_returns(monkeypatch):
+    validated = []
+    original = SignedSequence.__post_init__
+
+    def counting(self):
+        validated.append(len(self.items))
+        original(self)
+
+    monkeypatch.setattr(SignedSequence, "__post_init__", counting)
+    got, _ = generate_entry("dekking-flowsnake", 3873)
+    assert len(got) == 3873
+    assert sum(validated) <= 2 * 3873
+
+
+def test_gray_checks_read_the_entry_system(monkeypatch):
+    import dataclasses
+
+    from fracseq import catalog
+    from fracseq.catalog import box4_system
+
+    entry = get_entry("gray")
+    assert {c.name: c.passed for c in verify_entry("gray").checks}["hamiltonian-cube"]
+    wrong = dataclasses.replace(entry, system=box4_system())
+    monkeypatch.setitem(catalog._BY_ID, "gray", wrong)
+    results = {c.name: c.passed for c in verify_entry("gray").checks}
+    assert results["hamiltonian-cube"] is False
+    assert results["gray-hyper-orthogonal"] is False
+
+
 def test_generate_entry_stops_at_first_failure(monkeypatch):
     from fracseq import catalog
     from fracseq.substitution import RuleError
 
     calls = []
 
-    def over_cap(system, k, *rest):
-        calls.append(k)
-        raise RuleError(f"item cap 10 exceeded at level {k}: it would have 99 items")
+    def over_cap(system, *rest):
+        # a stream whose level 0 is over the cap: a search that opened it
+        # again to try later levels would record more calls
+        calls.append(0)
+        raise RuleError("item cap 10 exceeded at level 0: it would have 99 items")
+        yield  # a generator, like the real stream
 
-    monkeypatch.setattr(catalog, "iterate_full", over_cap)
+    monkeypatch.setattr(catalog, "levels", over_cap)
     with pytest.raises(CatalogError, match="hilbert-4d-origin: item cap 10 exceeded at level 0"):
         generate_entry("hilbert-4d-origin", 100)
     assert calls == [0]
@@ -188,13 +241,16 @@ def test_generate_entry_skips_only_the_one_edge_pairlift_level(monkeypatch):
     from fracseq import catalog
 
     levels = []
-    original = catalog.iterate_full
+    original = catalog.levels
 
-    def recording(system, k, *rest):
-        levels.append(k)
-        return original(system, k, *rest)
+    def recording(system, *rest):
+        # the stream gives level 0, whose base is one edge, as None: not lifted
+        for k, (items, exps) in enumerate(original(system, *rest)):
+            if items is not None:
+                levels.append(k)
+            yield items, exps
 
-    monkeypatch.setattr(catalog, "iterate_full", recording)
+    monkeypatch.setattr(catalog, "levels", recording)
     got, _ = generate_entry("arndt-peano-truncated", 20)
     assert got.items == get_entry("arndt-peano-truncated").expected_prefix[:20]
     assert levels == [1, 2, 3]

@@ -123,6 +123,19 @@ def test_verify_json(capsys):
     assert payload[0]["passed"] is True
 
 
+def test_verify_all_json_passes_every_declared_check(capsys):
+    from fracseq.catalog import catalog_entries
+
+    assert main(["verify", "--all", "--json"]) == 0
+    payload = {r["id"]: r for r in json.loads(capsys.readouterr().out)}
+    assert sorted(payload) == sorted(e.id for e in catalog_entries())
+    for entry in catalog_entries():
+        report = payload[entry.id]
+        assert [c["name"] for c in report["checks"]] == ["prefix", "normalized", *entry.checks]
+        assert report["passed"] is True, entry.id
+        assert all(c["passed"] for c in report["checks"]), entry.id
+
+
 def test_perm_commands(capsys):
     assert main(["perm", "compose", "[-2,4,-1,3]", "[3,-1,4,-2]"]) == 0
     assert capsys.readouterr().out.strip() == "[-1,2,3,-4]"
@@ -157,6 +170,21 @@ def test_rule_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "expansive: yes" in out
     assert "mu" in out  # commutes with the rotation
+
+
+def test_rule_check_labels_the_preview_with_its_level(tmp_path, capsys):
+    pairs = tmp_path / "pairs.rules"
+    pairs.write_text(
+        "name truncated\ndigiset 4\nkind pairlift\nstart 1,2,1,-2,-1,-2,1,2,1\n"
+        "pair 1,2 -> 1,2\npair 1,-2 -> 1,4\npair 2,1 -> 3,2\npair 2,-1 -> 3,-4\n"
+    )
+    assert main(["rule", "check", str(pairs)]) == 0
+    out = capsys.readouterr().out
+    assert "level-0 preview: 1,2,3,2,1,4,-3,-2,-1,-2,-3,4,1,2,3,2,3,2\n" in out
+    assert "level-2" not in out
+    assert main(["rule", "check", str(PKG_ROOT / "rules" / "arndt-peano.rules")]) == 0
+    out = capsys.readouterr().out
+    assert "level-2 preview: 1,2,1,-2,-1,-2,1,2,1,2,-1,2,1,-2,1,2,-1,2,1,2,1,-2,-1,-2\n" in out
 
 
 def test_rule_check_not_expansive(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Differential tests: ``iterate_full`` against a plain reference expansion.
+"""Differential tests: the ``levels`` stream and ``iterate_full`` against a
+plain reference expansion.
 
 The reference below shares no code with the two kernels.  A morphism is
 expanded digit by digit; a production system (a wholecurve rule, or an
@@ -8,6 +9,7 @@ relabelings and the length stream are applied one item at a time.
 """
 
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from fracseq.cli import main
 from fracseq.gray import gray_t1_system, gray_t2_system
 from fracseq.perms import PermError, SignedPermutation
 from fracseq.rulefile import parse_rule_file
-from fracseq.substitution import ConnectorAtom, PostTransform, RuleError, iterate, iterate_full
+from fracseq.substitution import ConnectorAtom, PostTransform, RuleError, iterate, iterate_full, levels
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
@@ -215,16 +217,28 @@ SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_kernels_match_reference(name):
+    """Levels 0-3 of one ``levels`` stream and of ``iterate_full``."""
     sys_ = SYSTEMS[name]
-    for k in range(4):
+    for k, (items, exps) in enumerate(islice(levels(sys_), 4)):
         if sys_.kind == "pairlift" and k == 0 and len(iterate(sys_.base, 0)) == 1:
+            # one edge has no pair context to lift
+            assert (items, exps) == (None, None)
             with pytest.raises(RuleError):
                 iterate_full(sys_, k)
             continue
-        seq, exps = iterate_full(sys_, k)
         want, want_exps = reference(sys_, k)
-        assert list(seq.items) == want, (name, k)
-        assert (None if exps is None else list(exps)) == want_exps, (name, k)
+        seq, seq_exps = iterate_full(sys_, k)
+        for got, got_exps in ((seq.items, seq_exps), (items, exps)):
+            assert list(got) == want, (name, k)
+            assert (None if got_exps is None else list(got_exps)) == want_exps, (name, k)
+
+
+def test_pairlift_without_base_has_only_its_start_level():
+    sys_ = _rule("digiset 4\nkind pairlift\nstart 1,2,1\npair 1,2 -> 1,2\npair 2,1 -> 3,2\n")
+    stream = levels(sys_)
+    assert next(stream) == ((1, 2, 3, 2, 3, 2), None)
+    with pytest.raises(RuleError, match="only has its start level"):
+        next(stream)
 
 
 def test_gray_rules_match_reference_deeper():

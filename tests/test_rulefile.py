@@ -56,7 +56,6 @@ HILBERT_WHOLECURVE = """\
 name hilbert-original
 digiset 2
 kind wholecurve
-state H
 start H 1,2,-1
 rule H
 atom H [1,2]
@@ -133,6 +132,14 @@ def test_error_positions():
 
     with pytest.raises(ParseError, match="unknown directive"):
         parse_rule_file("frobnicate 1\n")
+
+
+def test_state_is_an_unknown_directive():
+    text = HILBERT_WHOLECURVE.replace("kind wholecurve\n", "kind wholecurve\n  state H\n")
+    with pytest.raises(ParseError, match="unknown directive 'state'") as exc:
+        parse_rule_file(text)
+    assert (exc.value.line, exc.value.col) == (4, 3)
+    assert str(exc.value).startswith("line 4, column 3: ")
 
 
 def test_missing_sections():
