@@ -77,7 +77,6 @@ from .gray import (
 from .geometry import (
     Grid,
     Polyline,
-    Radical,
     coverage_report,
     cubic_grid,
     dragon_axes_grid,

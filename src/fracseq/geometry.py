@@ -1,15 +1,16 @@
 """Geometric realization of sequences: grids, tracing, verification.
 
-Grids are defined exactly: every generator component is
-a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational a, b, c, d (``Radical``),
-which covers all shipped grids (square and cubic lattices, triangular,
-honeycomb, square-diagonal, eighth-roots) and every edge length that
-occurs (powers of sqrt2).  A trace computes each distinct step once in
-that arithmetic and then walks on integers: a ``Polyline`` stores every
-coordinate as integer coefficients over 1, sqrt2, sqrt3, sqrt6 (only
-those the grid and lengths use; just 1 on cubic lattices) with one common
-denominator.  Self-avoidance, overlap, coverage and lattice checks are
-exact integer decisions; floats appear only in ``render``.
+Everything exact here is an integer.  A grid declares its generators the
+way a ``Polyline`` stores points: one denominator, plus axis by axis the
+integer coefficients of the numerators over a basis of radicands (1
+first, then any of 2, 3, 6).  That covers all shipped grids (square and
+cubic lattices, triangular, honeycomb, square-diagonal, eighth-roots),
+and an edge length a + b*sqrt2 is the int pair (a, b) (``sqrt2_pow``).
+Grid construction checks independence and span with one integer rank
+test; a trace embeds each distinct step once as a ``_Ring`` product and
+then walks on integer tuples; self-avoidance, overlap, coverage and
+lattice checks are exact integer decisions.  Floats appear only in
+``Polyline.float_vertices`` and ``numeric_vertices``, for ``render``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
+from .perms import _det_fraction_free
 from .sequences import SignedSequence
 
 
@@ -30,102 +32,9 @@ class GridError(ValueError):
     pass
 
 
-_ZERO = Fraction(0)
-# Radical's components a, b, c, d multiply the square roots of these
+# a basis holds some of these radicands, 1 first
 _RADICANDS = (1, 2, 3, 6)
 _ROOTS = {2: 1.4142135623730951, 3: 1.7320508075688772, 6: 2.449489742783178}
-
-
-@dataclass(frozen=True)
-class Radical:
-    """Exact number a + b*sqrt2 + c*sqrt3 + d*sqrt6."""
-
-    a: Fraction = _ZERO
-    b: Fraction = _ZERO
-    c: Fraction = _ZERO
-    d: Fraction = _ZERO
-
-    @staticmethod
-    def of(x) -> "Radical":
-        if isinstance(x, Radical):
-            return x
-        return Radical(Fraction(x))
-
-    @staticmethod
-    def sqrt2(coeff=1) -> "Radical":
-        return Radical(_ZERO, Fraction(coeff))
-
-    @staticmethod
-    def sqrt3(coeff=1) -> "Radical":
-        return Radical(_ZERO, _ZERO, Fraction(coeff))
-
-    def __add__(self, other) -> "Radical":
-        o = Radical.of(other)
-        return Radical(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Radical":
-        return Radical(-self.a, -self.b, -self.c, -self.d)
-
-    def __sub__(self, other) -> "Radical":
-        return self + (-Radical.of(other))
-
-    def __rsub__(self, other) -> "Radical":
-        return Radical.of(other) + (-self)
-
-    def __mul__(self, other) -> "Radical":
-        o = Radical.of(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return Radical(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
-
-    __rmul__ = __mul__
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _ROOTS[2] + float(self.c) * _ROOTS[3] + float(self.d) * _ROOTS[6]
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def sign(self) -> int:
-        return _sign4(self.a, self.b, self.c, self.d)
-
-    def __lt__(self, other) -> bool:
-        return (self - Radical.of(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - Radical.of(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - Radical.of(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - Radical.of(other)).sign() >= 0
-
-    def as_int(self) -> int | None:
-        if self.b == 0 and self.c == 0 and self.d == 0 and self.a.denominator == 1:
-            return int(self.a)
-        return None
-
-    def __str__(self) -> str:
-        parts = []
-        for coeff, tag in ((self.a, ""), (self.b, "*sqrt2"), (self.c, "*sqrt3"), (self.d, "*sqrt6")):
-            if coeff != 0:
-                parts.append(f"{coeff}{tag}")
-        return " + ".join(parts) if parts else "0"
-
-
-def _parts(x) -> tuple:
-    """Coefficients of 1, sqrt2, sqrt3, sqrt6 in x."""
-    if isinstance(x, Radical):
-        return (x.a, x.b, x.c, x.d)
-    return (Fraction(x), _ZERO, _ZERO, _ZERO)
 
 
 def _sign4(a, b, c, d) -> int:
@@ -161,181 +70,13 @@ def _sign_sqrt2(a, b) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def sqrt2_pow(e: int) -> Radical:
-    """sqrt(2)**e as an exact value (e may be any nonnegative integer).
-
-    Cached: a length stream repeats a few exponents, and ``trace`` hashes
-    each distinct length object once."""
+def sqrt2_pow(e: int) -> tuple[int, int]:
+    """sqrt(2)**e as the int pair (a, b) of a + b*sqrt2, the length form
+    ``trace`` takes (e may be any nonnegative integer).  Cached: a length
+    stream repeats a few exponents."""
     if e < 0:
         raise ValueError("negative powers not needed")
-    if e % 2 == 0:
-        return Radical(Fraction(2 ** (e // 2)))
-    return Radical.sqrt2(2 ** ((e - 1) // 2))
-
-
-Vector = tuple[Radical, ...]
-
-
-def vec(*components) -> Vector:
-    return tuple(Radical.of(c) for c in components)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Generator vectors mapping digits to directions.
-
-    Generators must span the embedding space and be pairwise independent;
-    both are checked exactly on construction.
-    """
-
-    dim: int
-    generators: tuple[Vector, ...]
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        gens = tuple(tuple(Radical.of(c) for c in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if len(g) != self.dim:
-                raise GridError("generator dimension mismatch")
-        n = len(gens)
-        ints = [[c.as_int() for c in g] for g in gens]
-        all_int = all(c is not None for row in ints for c in row)
-        for i in range(n):
-            for j in range(i + 1, n):
-                dep = _dependent_int(ints[i], ints[j]) if all_int else _dependent(gens[i], gens[j])
-                if dep:
-                    raise GridError(f"generators {i + 1} and {j + 1} are dependent")
-        if _gram_rank_deficient(gens, self.dim):
-            raise GridError("generators do not span the space")
-
-    @property
-    def n(self) -> int:
-        return len(self.generators)
-
-    def direction(self, digit: int) -> Vector:
-        m = abs(digit)
-        if m == 0 or m > self.n:
-            raise GridError(f"digit {digit} out of range for grid with {self.n} generators")
-        g = self.generators[m - 1]
-        return g if digit > 0 else tuple(-c for c in g)
-
-    def is_integral(self) -> bool:
-        return all(c.as_int() is not None for g in self.generators for c in g)
-
-
-def _dependent(u: Vector, v: Vector) -> bool:
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
-                return False
-    return True
-
-
-def _dependent_int(u, v) -> bool:
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
-
-
-def _gram_rank_deficient(gens: tuple[Vector, ...], dim: int) -> bool:
-    # rank(G) = dim iff det(G G^T) != 0, computed exactly; integer grids
-    # (cubic lattices in any dimension) take the integer route, the small
-    # radical grids expand cofactors
-    ints = [[c.as_int() for c in g] for g in gens]
-    if all(c is not None for row in ints for c in row):
-        from .perms import _det_fraction_free
-
-        gram = [[sum(ints[k][i] * ints[k][j] for k in range(len(ints))) for j in range(dim)]
-                for i in range(dim)]
-        return _det_fraction_free(gram) == 0
-    m = [[_dot_exact(_row(gens, i), _row(gens, j)) for j in range(dim)] for i in range(dim)]
-    return _det_radical(m).is_zero()
-
-
-def _row(gens: tuple[Vector, ...], i: int) -> tuple[Radical, ...]:
-    return tuple(g[i] for g in gens)
-
-
-def _dot_exact(u, v) -> Radical:
-    acc = Radical()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
-
-
-def _det_radical(m) -> Radical:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = Radical()
-    sign = 1
-    for col in range(n):
-        minor = [row[:col] + row[col + 1:] for row in m[1:]]
-        acc = acc + Radical.of(sign) * m[0][col] * _det_radical(minor)
-        sign = -sign
-    return acc
-
-
-def cubic_grid(d: int) -> Grid:
-    gens = tuple(tuple(Radical.of(1 if i == j else 0) for i in range(d)) for j in range(d))
-    return Grid(d, gens, name=f"cubic-{d}d")
-
-
-def square_grid() -> Grid:
-    g = cubic_grid(2)
-    return Grid(2, g.generators, name="square")
-
-
-def triangular_grid() -> Grid:
-    h = Fraction(1, 2)
-    return Grid(
-        2,
-        (vec(1, 0), (Radical.of(h), Radical.sqrt3(h)), (Radical.of(-h), Radical.sqrt3(h))),
-        name="triangular",
-    )
-
-
-def square_diagonal_grid() -> Grid:
-    return Grid(2, (vec(1, 0), vec(1, 1), vec(0, 1), vec(-1, 1)), name="square-diagonal")
-
-
-def eighth_roots_grid() -> Grid:
-    h = Fraction(1, 2)
-    s = Radical.sqrt2(h)
-    return Grid(
-        2,
-        (vec(1, 0), (s, s), vec(0, 1), (-s, s)),
-        name="eighth-roots",
-    )
-
-
-def truncated_square_grid() -> Grid:
-    g = eighth_roots_grid()
-    return Grid(2, g.generators, name="truncated-square")
-
-
-def honeycomb_grid() -> Grid:
-    g = triangular_grid()
-    return Grid(2, g.generators, name="honeycomb")
-
-
-def dragon_axes_grid() -> Grid:
-    """Eighth-roots directions renumbered so the V1 dragon is normalized:
-    unit x, unit y, and the two upper/lower-left diagonals."""
-    h = Fraction(1, 2)
-    s = Radical.sqrt2(h)
-    return Grid(2, (vec(1, 0), vec(0, 1), (-s, s), (-s, -s)), name="eighth-roots-dragon")
-
-
-# ---------------------------------------------------------------- embedding
-#
-# Every traced vertex is an integer combination of a few exact steps, so a
-# polyline is stored on integers: each coordinate x becomes the coefficients
-# of D*x over a basis of radicands (1 first, then any of 2, 3, 6), with one
-# common denominator D per polyline.
+    return (2 ** (e // 2), 0) if e % 2 == 0 else (0, 2 ** (e // 2))
 
 
 def _root_product(r: int, s: int) -> tuple[int, int]:
@@ -347,33 +88,23 @@ def _root_product(r: int, s: int) -> tuple[int, int]:
     return q, m
 
 
-def _closed_basis(values) -> tuple[int, ...]:
-    """The radicands the values use, with 1, closed under products."""
-    basis = {1} | {r for x in values for r, c in zip(_RADICANDS, _parts(x)) if c}
+def _closed_basis(radicands) -> tuple[int, ...]:
+    """The radicands with 1, closed under products."""
+    basis = {1, *radicands}
     more = {_root_product(r, s)[1] for r in basis for s in basis}
     return tuple(sorted(basis | more))  # one round closes any subset of {1, 2, 3, 6}
 
 
-def _denominator(values) -> int:
-    return math.lcm(*(c.denominator for x in values for c in _parts(x)))
-
-
-def _embed(v: Vector, basis: tuple[int, ...], den: int) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        parts = _parts(x)
-        for r in basis:
-            out.append(int(parts[_RADICANDS.index(r)] * den))
-    return tuple(out)
-
-
 class _Ring:
-    """Exact integer arithmetic on coefficient vectors over one basis."""
+    """Exact integer arithmetic on coefficient vectors over one basis.
+
+    A vector of several axes is flat, axis by axis, k coefficients each.
+    """
 
     def __init__(self, basis: tuple[int, ...]):
         self.basis = basis
         self.k = len(basis)
-        at = {r: i for i, r in enumerate(basis)}
+        self.at = at = {r: i for i, r in enumerate(basis)}
         self.table = tuple((i, j, at[m], q) for i, r in enumerate(basis) for j, s in enumerate(basis)
                            for q, m in (_root_product(r, s),))
         # the field automorphisms flip the sign of sqrt2, of sqrt3, or both
@@ -389,6 +120,28 @@ class _Ring:
         for i, j, m, q in self.table:
             out[m] += q * u[i] * v[j]
         return tuple(out)
+
+    def scale(self, u, x) -> tuple[int, ...]:
+        """Each axis of the vector u times x."""
+        k = self.k
+        return tuple(c for j in range(0, len(u), k) for c in self.mul(u[j:j + k], x))
+
+    def embed(self, u, basis: tuple[int, ...]) -> tuple[int, ...]:
+        """The vector u over ``basis``, a subset of this ring's, over this ring's."""
+        k, at = self.k, [self.at[r] for r in basis]
+        out = [0] * (len(u) // len(basis) * k)
+        for j, c in enumerate(u):
+            axis, t = divmod(j, len(basis))
+            out[axis * k + at[t]] = c
+        return tuple(out)
+
+    def rows(self, u) -> list[tuple[int, ...]]:
+        """The regular representation of the vector u: u times each basis
+        element.  Vectors are independent over the field exactly when
+        their rows are independent over the integers (each coordinate
+        becomes its k x k multiplication block)."""
+        k = self.k
+        return [self.scale(u, tuple(int(i == t) for i in range(k))) for t in range(k)]
 
     def conjugate(self, u) -> tuple[int, ...]:
         """The product of u's other conjugates: u * conjugate(u) is an integer."""
@@ -407,6 +160,113 @@ class _Ring:
         return functools.cmp_to_key(lambda u, v: self.sign(tuple(map(sub, u, v))))
 
 
+def _independent(rows) -> bool:
+    """Integer rows are linearly independent iff their Gram determinant is not 0."""
+    return _det_fraction_free([[sum(map(mul, u, v)) for v in rows] for u in rows]) != 0
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Generator vectors mapping digits to directions, declared like
+    ``Polyline`` points: ``generators[i]`` holds, axis by axis, the integer
+    coefficients of ``denominator`` times generator i+1 over the radicands
+    in ``basis``.  The triangular grid's (1/2, sqrt3/2) is (1, 0, 0, 1)
+    over basis (1, 3) with denominator 2.
+
+    Generators must span the embedding space and be pairwise independent;
+    both are checked exactly on construction.
+    """
+
+    dim: int
+    generators: tuple[tuple[int, ...], ...]
+    name: str = ""
+    denominator: int = 1
+    basis: tuple[int, ...] = (1,)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", tuple(map(tuple, self.generators)))
+        object.__setattr__(self, "basis", tuple(self.basis))
+        if not set(self.basis) <= set(_RADICANDS) or self.basis != _closed_basis(self.basis):
+            raise GridError(f"basis {self.basis} is not 1 and radicands among 2, 3, 6, "
+                            "closed under products, in increasing order")
+        if type(self.denominator) is not int or self.denominator < 1:
+            raise GridError(f"denominator {self.denominator!r} is not a positive int")
+        width = self.dim * len(self.basis)
+        for g in self.generators:
+            if len(g) != width:
+                raise GridError("generator dimension mismatch")
+            if not all(type(c) is int for c in g):
+                raise GridError(f"generator {g!r} is not a tuple of integer coefficients")
+        rows = [self.ring.rows(g) for g in self.generators]
+        for i, j in combinations(range(self.n), 2):
+            if not _independent(rows[i] + rows[j]):
+                raise GridError(f"generators {i + 1} and {j + 1} are dependent")
+        flat = [r for rs in rows for r in rs]
+        if not _independent([tuple(r[c] for r in flat) for c in range(width)]):
+            raise GridError("generators do not span the space")
+
+    @property
+    def n(self) -> int:
+        return len(self.generators)
+
+    @functools.cached_property
+    def ring(self) -> _Ring:
+        return _Ring(self.basis)
+
+    def direction(self, digit: int) -> tuple[int, ...]:
+        m = abs(digit)
+        if m == 0 or m > self.n:
+            raise GridError(f"digit {digit} out of range for grid with {self.n} generators")
+        g = self.generators[m - 1]
+        return g if digit > 0 else tuple(-c for c in g)
+
+    def is_integral(self) -> bool:
+        return self.basis == (1,) and self.denominator == 1
+
+
+def cubic_grid(d: int) -> Grid:
+    gens = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+    return Grid(d, gens, name=f"cubic-{d}d")
+
+
+def square_grid() -> Grid:
+    g = cubic_grid(2)
+    return Grid(2, g.generators, name="square")
+
+
+def triangular_grid() -> Grid:
+    """Unit steps at 0, 60 and 120 degrees: (1, 0), (1/2, sqrt3/2), (-1/2, sqrt3/2)."""
+    return Grid(2, ((2, 0, 0, 0), (1, 0, 0, 1), (-1, 0, 0, 1)),
+                name="triangular", denominator=2, basis=(1, 3))
+
+
+def square_diagonal_grid() -> Grid:
+    return Grid(2, ((1, 0), (1, 1), (0, 1), (-1, 1)), name="square-diagonal")
+
+
+def eighth_roots_grid() -> Grid:
+    """Unit steps at 0, 45, 90 and 135 degrees; sqrt2/2 is (0 + 1*sqrt2) / 2."""
+    return Grid(2, ((2, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, -1, 0, 1)),
+                name="eighth-roots", denominator=2, basis=(1, 2))
+
+
+def truncated_square_grid() -> Grid:
+    g = eighth_roots_grid()
+    return Grid(2, g.generators, name="truncated-square", denominator=g.denominator, basis=g.basis)
+
+
+def honeycomb_grid() -> Grid:
+    g = triangular_grid()
+    return Grid(2, g.generators, name="honeycomb", denominator=g.denominator, basis=g.basis)
+
+
+def dragon_axes_grid() -> Grid:
+    """Eighth-roots directions renumbered so the V1 dragon is normalized:
+    unit x, unit y, and the two upper/lower-left diagonals."""
+    return Grid(2, ((2, 0, 0, 0), (0, 0, 2, 0), (0, -1, 0, 1), (0, -1, 0, -1)),
+                name="eighth-roots-dragon", denominator=2, basis=(1, 2))
+
+
 @dataclass(frozen=True)
 class Polyline:
     """Traced vertices, entry first and exit last, on an integer embedding.
@@ -414,8 +274,7 @@ class Polyline:
     ``points[i]`` holds vertex i axis by axis: for each axis, the integer
     coefficients of ``denominator`` times the coordinate over the radicands
     in ``basis``.  On an integer lattice (basis (1,), denominator 1) the
-    points are the vertices themselves.  Build one from exact coordinates
-    with ``Polyline.of``.
+    points are the vertices themselves.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -427,16 +286,8 @@ class Polyline:
             raise GridError("a polyline has at least its entry vertex")
         first = self.points[0]
         if len(first) % len(self.basis) or not all(type(c) is int for c in first):
-            raise GridError("polyline points are integer coefficient tuples; "
-                            "use Polyline.of for exact coordinates")
-
-    @classmethod
-    def of(cls, vertices) -> "Polyline":
-        """Embed vertices given as exact coordinates (ints, Fractions, Radicals)."""
-        vs = [tuple(Radical.of(c) for c in v) for v in vertices]
-        coords = [c for v in vs for c in v]
-        basis, den = _closed_basis(coords), _denominator(coords)
-        return cls(tuple(_embed(v, basis, den) for v in vs), den, basis)
+            raise GridError("polyline points are integer coefficient tuples, "
+                            f"axis by axis over the basis {self.basis}")
 
     @property
     def dim(self) -> int:
@@ -453,26 +304,18 @@ class Polyline:
     def is_integral(self) -> bool:
         return self.basis == (1,) and self.denominator == 1
 
-    @functools.cached_property
-    def vertices(self) -> tuple[tuple, ...]:
-        """Exact coordinates: the points on an integer lattice, else Radicals."""
-        if self.is_integral():
-            return self.points
-        return tuple(self._exact(v) for v in self.points)
-
-    def _exact(self, point) -> tuple:
-        if self.is_integral():
-            return point
-        k, den = len(self.basis), self.denominator
-        out = []
-        for j in range(0, len(point), k):
-            parts = dict(zip(self.basis, point[j:j + k]))
-            out.append(Radical(*(Fraction(parts.get(r, 0), den) for r in _RADICANDS)))
-        return tuple(out)
+    @property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The points themselves, on an integer lattice only."""
+        if not self.is_integral():
+            raise GridError(f"vertices are exact only on an integer lattice, not over basis {self.basis} "
+                            f"with denominator {self.denominator}; use float_vertices, lattice_points "
+                            "or points")
+        return self.points
 
     def float_vertices(self) -> list[tuple[float, ...]]:
-        """Coordinates as floats, bit for bit those of ``float(Radical)``:
-        the same terms are added in the same order."""
+        """Coordinates as floats.  Each axis adds its terms c/denominator *
+        sqrt(r) in basis order, so the bits are the same on every run."""
         if self.is_integral():
             return [tuple(map(float, v)) for v in self.points]
         k, den = len(self.basis), self.denominator
@@ -518,10 +361,11 @@ class Polyline:
 def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Polyline:
     """Walk from the origin: vertex_{i+1} = vertex_i + sign * length * u(|digit|).
 
-    Without a length stream every edge uses the raw generator.  Each
-    distinct (digit, length) step is computed once, exactly, and embedded
-    as an integer vector (see ``Polyline``); the walk itself only adds
-    integer tuples.
+    Without a length stream every edge uses the raw generator; a length
+    a + b*sqrt2 is the int pair (a, b) that ``sqrt2_pow`` returns.  Each
+    distinct (digit, length) step is computed once as a ``_Ring`` product
+    and embedded with the lowest common denominator (see ``Polyline``);
+    the walk itself only adds integer tuples.
     """
     items = s.items
     if lengths is not None and len(lengths) != len(items):
@@ -532,33 +376,37 @@ def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Pol
         grid.direction(next(k for k in items if k in bad))  # raises, naming the first
     if lengths is None:
         keys = items
-        exact = {k: grid.direction(k) for k in digits}
-        scales: list[Radical] = []
+        ring = grid.ring
+        steps = {k: grid.direction(k) for k in digits}
     else:
-        # sqrt2_pow is cached, so a few length objects recur: hash each
-        # object's value once rather than every edge's
-        objects = {id(ln): ln for ln in lengths}
-        index: dict[Radical, int] = {}
-        code = {i: index.setdefault(Radical.of(ln), len(index)) for i, ln in objects.items()}
-        scales = list(index)
-        keys = [(k, code[id(ln)]) for k, ln in zip(items, lengths)]
-        exact = {(k, c): tuple(x * scales[c] for x in grid.direction(k)) for k, c in set(keys)}
-    basis = _closed_basis([c for g in grid.generators for c in g] + scales)
-    den = _denominator([c for v in exact.values() for c in v])
-    steps = {key: _embed(v, basis, den) for key, v in exact.items()}
-    pos = (0,) * (grid.dim * len(basis))
+        keys = list(zip(items, lengths))
+        distinct = set(keys)
+        for _, ln in distinct:
+            if type(ln) is not tuple or len(ln) != 2 or not all(type(c) is int for c in ln):
+                raise GridError(f"length {ln!r} is not an int pair (a, b) for a + b*sqrt2")
+        ring = _Ring(_closed_basis(grid.basis + ((2,) if any(b for _, (a, b) in distinct) else ())))
+        steps = {}
+        for k, (a, b) in distinct:
+            x = [a] + [0] * (ring.k - 1)
+            if b:
+                x[ring.at[2]] = b
+            steps[k, (a, b)] = ring.scale(ring.embed(grid.direction(k), grid.basis), x)
+    g = math.gcd(grid.denominator, *(c for v in steps.values() for c in v))
+    if g > 1:
+        steps = {key: tuple(c // g for c in v) for key, v in steps.items()}
+    pos = (0,) * (grid.dim * ring.k)
     out = [pos]
     append = out.append
     for key in keys:
         pos = tuple(map(add, pos, steps[key]))
         append(pos)
-    return Polyline(tuple(out), den, basis)
+    return Polyline(tuple(out), grid.denominator // g, ring.basis)
 
 
-def orientation(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> tuple:
-    """Exit minus entry."""
-    p = trace(s, grid, lengths)
-    return p._exact(tuple(map(sub, p.points[-1], p.points[0])))
+def orientation(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> tuple[int, ...]:
+    """Exit minus entry, on an integer lattice (see ``Polyline.vertices``)."""
+    v = trace(s, grid, lengths).vertices
+    return tuple(map(sub, v[-1], v[0]))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .sequences import SignedSequence
 
@@ -242,28 +243,25 @@ def is_grid_isometry(p: SignedPermutation, grid) -> bool:
     """True iff relabeling the grid generators by ``p`` preserves the Gram
     matrix (all generator lengths and pairwise angles).
 
-    Grid coordinates are exact, so the comparison is exact as well.
+    Each Gram entry is exact: integer coefficients over the grid's basis,
+    summed from ``grid.ring`` products axis by axis.
     """
-    gens = grid.generators
-    n = len(gens)
+    n = grid.n
     if p.n != n:
         raise PermError(f"perm dimension {p.n} does not match grid with {n} generators")
+    ring = grid.ring
+    k = ring.k
 
-    def signed_gen(k: int):
-        v = gens[abs(k) - 1]
-        return v if k > 0 else tuple(-c for c in v)
-
-    def dot(u, v):
-        acc = u[0] * v[0]
-        for a, b in zip(u[1:], v[1:]):
-            acc = acc + a * b
+    def dot(i: int, j: int) -> list[int]:
+        u, v = grid.direction(i), grid.direction(j)
+        acc = [0] * k
+        for t in range(0, len(u), k):
+            acc = list(map(add, acc, ring.mul(u[t:t + k], v[t:t + k])))
         return acc
 
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            before = dot(signed_gen(i), signed_gen(j))
-            after = dot(signed_gen(p.of_digit(i)), signed_gen(p.of_digit(j)))
-            if before != after:
+            if dot(i, j) != dot(p.of_digit(i), p.of_digit(j)):
                 return False
     return True
 

@@ -242,14 +242,25 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
             target, payload = parts
             if target == "connector":
                 toks = payload.split(None, 1)
-                digit = int(toks[0])
+                digit_col = arg_col + arg.find(payload)
+                try:
+                    digit = int(toks[0])
+                except ValueError:
+                    raise ParseError(f"bad connector digit {toks[0]!r}", line_no, digit_col) from None
+                if digit == 0:
+                    raise ParseError("0 is not a digit", line_no, digit_col)
                 if len(toks) == 1:
                     atom = ConnectorAtom(digit)
                 else:
+                    tcol = digit_col + payload.find(toks[1], len(toks[0]))
                     m = re.match(r"^(\[.*\])\^(k\+1|kmod2|k)$", toks[1].replace(" ", ""))
                     if not m:
-                        raise ParseError(f"bad connector transform {toks[1]!r}", line_no, arg_col)
-                    atom = ConnectorAtom(digit, parse_perm(m.group(1)), m.group(2))
+                        raise ParseError(f"bad connector transform {toks[1]!r}", line_no, tcol)
+                    try:
+                        perm = parse_perm(m.group(1))
+                    except PermError as exc:
+                        raise ParseError(str(exc), line_no, tcol) from None
+                    atom = ConnectorAtom(digit, perm, m.group(2))
             else:
                 atom = StateAtom(target, _parse_term(payload, line_no, arg_col))
             if current_state is None:

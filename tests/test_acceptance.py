@@ -235,7 +235,7 @@ def test_c7_geometry_cross_checks():
     seq, exps = iterate_full(v1, 5)
     lengths = [sqrt2_pow(e) for e in exps]
     p = trace(seq, dragon_axes_grid(), lengths)
-    assert all(c.as_int() is not None for v in p.vertices for c in v)
+    assert None not in p.lattice_points()
 
     assert len(exps) >= 200
     want = [ternary_ones_oracle(i // 2) for i in range(200)]  # each value twice

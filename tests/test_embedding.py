@@ -2,20 +2,21 @@
 
 ``trace`` walks every grid on integer coefficient vectors and
 ``self_avoidance_report`` counts partial overlaps by an exact line key and
-a sweep.  The references below are the slow exact paths they replace: a
-walk in ``Radical`` arithmetic, and an all-pairs collinear-overlap test.
+a sweep.  The references in ``radical_reference`` are the slow exact
+paths they replace: a walk in ``Radical`` arithmetic on generators written
+from each grid's geometry, and an all-pairs collinear-overlap test.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from radical_reference import Radical, radical_vertices, reference_partial_pairs, reference_trace
 
 from fracseq.catalog import catalog_entries, get_entry
 from fracseq.geometry import (
     GridError,
     Polyline,
-    Radical,
     cubic_grid,
     dragon_axes_grid,
     eighth_roots_grid,
@@ -43,26 +44,14 @@ GRIDS = {
 }
 
 
-def reference_trace(items, grid, lengths=None) -> list[tuple[Radical, ...]]:
-    """Vertex by vertex in Radical arithmetic (each scaled step computed once)."""
-    pos = tuple(Radical() for _ in range(grid.dim))
-    out = [pos]
-    scaled = {}
-    for i, k in enumerate(items):
-        step = grid.direction(k)
-        if lengths is not None:
-            key = (k, Radical.of(lengths[i]))
-            if key not in scaled:
-                scaled[key] = tuple(c * key[1] for c in step)
-            step = scaled[key]
-        pos = tuple(p + c for p, c in zip(pos, step))
-        out.append(pos)
-    return out
-
-
 def assert_same_walk(p: Polyline, ref) -> None:
     assert p.edge_count == len(ref) - 1
-    assert [tuple(Radical.of(c) for c in v) for v in p.vertices] == ref
+    assert radical_vertices(p) == ref
+    if p.is_integral():
+        assert p.vertices is p.points
+    else:
+        with pytest.raises(GridError, match="float_vertices, lattice_points or points"):
+            p.vertices
     # bit for bit, -0.0 included
     assert [tuple(x.hex() for x in v) for v in p.float_vertices()] == \
            [tuple(float(c).hex() for c in v) for v in ref]
@@ -85,9 +74,9 @@ def test_trace_matches_radical_walk_on_random_digits(name):
     rng = random.Random(f"trace:{name}")
     for _ in range(3):
         seq = random_walk(rng, grid.n, rng.randint(0, 40))
-        assert_same_walk(trace(seq, grid), reference_trace(seq.items, grid))
+        assert_same_walk(trace(seq, grid), reference_trace(seq.items, grid.name))
         lengths = [sqrt2_pow(rng.randrange(5)) for _ in seq.items]
-        assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid, lengths))
+        assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid.name, lengths))
 
 
 def test_integer_grids_keep_plain_int_vertices():
@@ -127,14 +116,15 @@ def test_trace_matches_radical_walk_on_catalog_entries():
             grid = entry.grid if entry.grid is not None else cubic_grid(max(abs(d) for d in seq.items))
             head = SignedSequence(seq.items[:HEAD], seq.digiset)
             lengths = [sqrt2_pow(e) for e in exps[:HEAD]] if exps is not None else None
-            assert_same_walk(trace(head, grid, lengths), reference_trace(head.items, grid, lengths))
+            assert_same_walk(trace(head, grid, lengths), reference_trace(head.items, grid.name, lengths))
 
 
 def test_trace_accepts_plain_and_uncached_lengths():
     seq = SignedSequence((1, 2, 4, 3, -1), Digiset(4))
-    lengths = [1, Fraction(1, 2), Radical.sqrt2(), Radical.sqrt2(), 2]  # equal values, distinct objects
+    lengths = [(1, 0), (2, 0), tuple([0, 1]), tuple([0, 1]), (1, 1)]  # equal values, distinct objects
+    assert lengths[2] == lengths[3] and lengths[2] is not lengths[3]
     grid = dragon_axes_grid()
-    assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid, lengths))
+    assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid.name, lengths))
 
 
 def test_trace_grid_errors():
@@ -144,48 +134,14 @@ def test_trace_grid_errors():
         trace(SignedSequence((1, -6, 5), Digiset(6)), dragon_axes_grid(), [sqrt2_pow(0)] * 3)
     with pytest.raises(GridError, match="length stream has 1 entries for 2 edges"):
         trace(SignedSequence((1, 2), Digiset(2)), dragon_axes_grid(), [sqrt2_pow(1)])
-    with pytest.raises(GridError, match="Polyline.of"):
-        Polyline(((Radical.of(0), Radical.of(0)),))
+    with pytest.raises(GridError, match="integer coefficient tuples") as exc:
+        Polyline(((0.0, 0),))
+    assert "Polyline.of" not in str(exc.value)
+    with pytest.raises(GridError, match="int pair"):
+        trace(SignedSequence((1, 2), Digiset(2)), square_grid(), [(1, 0), 1])
 
 
 # ------------------------------------------------------------ partial overlap
-
-def _segments_partial_overlap(s1, s2) -> bool:
-    (a1, a2), (b1, b2) = s1
-    (c1, c2), (d1, d2) = s2
-    e1, e2 = b1 - a1, b2 - a2
-    f1, f2 = d1 - c1, d2 - c2
-    if not (e1 * f2 - e2 * f1).is_zero():
-        return False
-    if not (e1 * (c2 - a2) - e2 * (c1 - a1)).is_zero():
-        return False
-    # same line: compare parameter intervals along (e1, e2)
-    t = [x * e1 + y * e2 for x, y in ((a1, a2), (b1, b2), (c1, c2), (d1, d2))]
-    lo1, hi1 = sorted(t[:2])
-    lo2, hi2 = sorted(t[2:])
-    if lo1 == lo2 and hi1 == hi2:
-        return False  # coincident: an edge multiplicity, not a partial overlap
-    return max(lo1, lo2) < min(hi1, hi2)
-
-
-def reference_partial_pairs(vertices) -> int:
-    """Every pair of edges, decided in Radical arithmetic.  Floats only skip
-    pairs that are far from collinear, with a tolerance well above their
-    rounding error."""
-    verts = [tuple(Radical.of(c) for c in v) for v in vertices]
-    segs = list(zip(verts, verts[1:]))
-    flo = [tuple(tuple(float(c) for c in v) for v in s) for s in segs]
-    tol = 1e-9 * (1 + max(abs(c) for s in flo for v in s for c in v)) ** 2
-    count = 0
-    for i, ((ax, ay), (bx, by)) in enumerate(flo):
-        ex, ey = bx - ax, by - ay
-        for j in range(i + 1, len(segs)):
-            (cx, cy), (dx, dy) = flo[j]
-            if abs(ex * (dy - cy) - ey * (dx - cx)) > tol or abs(ex * (cy - ay) - ey * (cx - ax)) > tol:
-                continue
-            count += _segments_partial_overlap(segs[i], segs[j])
-    return count
-
 
 def entry_polyline(entry_id: str, level: int, with_lengths: bool) -> Polyline:
     entry = get_entry(entry_id)
@@ -203,7 +159,7 @@ def test_partial_overlaps_match_all_pairs(entry_id, levels, with_lengths):
     for level in levels:
         p = entry_polyline(entry_id, level, with_lengths)
         got = self_avoidance_report(p, check_partial=True).partial_overlap_pairs
-        assert got == reference_partial_pairs(p.vertices), (entry_id, level)
+        assert got == reference_partial_pairs(radical_vertices(p)), (entry_id, level)
     if entry_id == "arndt-peano-truncated":
         assert got == 10
 
@@ -218,7 +174,7 @@ def test_partial_overlaps_match_all_pairs_on_triangular_walks():
         lengths = [sqrt2_pow(rng.choice((0, 0, 2, 1))) for _ in seq.items]
         for p in (trace(seq, grid), trace(seq, grid, lengths)):
             got = self_avoidance_report(p).partial_overlap_pairs
-            assert got == reference_partial_pairs(p.vertices)
+            assert got == reference_partial_pairs(radical_vertices(p))
             seen += got
     assert seen > 0
 
@@ -234,7 +190,13 @@ def test_partial_overlap_far_from_origin():
         return (x0 + h * t, y0 + h * t)
 
     verts = [at(0), at(2), (x0 + 5, y0), at(1), at(4)]
-    p = Polyline.of(verts)
+    # over basis (1, 2) with denominator 2, at(t) is x = (2e8 + t*sqrt2) / 2,
+    # y = (-2e8 + (1 + t)*sqrt2) / 2
+    def point(t):
+        return (2 * 10**8, t, -2 * 10**8, 1 + t)
+
+    p = Polyline((point(0), point(2), (2 * 10**8 + 10, 0, -2 * 10**8, 1), point(1), point(4)), 2, (1, 2))
+    assert radical_vertices(p) == verts
     assert reference_partial_pairs(verts) == 1
     assert self_avoidance_report(p).partial_overlap_pairs == 1
 
@@ -261,7 +223,7 @@ def test_partial_overlap_counted_beyond_4096_edges():
 def test_doubled_edges_are_not_partial_overlaps():
     # one diagonal edge walked three times, its extension, and a long way back
     verts = [(0, 0), (1, 1), (0, 0), (1, 1), (2, 2), (Fraction(1, 2), Fraction(1, 2))]
-    p = Polyline.of(verts)
+    p = Polyline(tuple(tuple(int(2 * c) for c in v) for v in verts), 2)
     rep = self_avoidance_report(p)
     assert rep.max_edge_multiplicity == 3
     # the last edge, from (2, 2) back to (1/2, 1/2), overlaps each of the others

@@ -1,6 +1,10 @@
+import math
+import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
+from radical_reference import GENERATORS, Radical, declaration, dependent, spans
 
 from fracseq.catalog import (
     arndt_peano_system,
@@ -13,7 +17,9 @@ from fracseq.catalog import (
 from fracseq.geometry import (
     Grid,
     GridError,
-    Radical,
+    Polyline,
+    _Ring,
+    _sign4,
     coverage_report,
     cubic_grid,
     dragon_axes_grid,
@@ -43,65 +49,138 @@ def s(*items, digiset=Digiset(4)):
 
 # ---------------------------------------------------------------- radical
 
+# integer coefficients over the basis 1, sqrt2, sqrt3, sqrt6
+RING = _Ring((1, 2, 3, 6))
+ONE, R2, R3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+
+
 def test_radical_arithmetic():
-    r2 = Radical.sqrt2()
-    r3 = Radical.sqrt3()
-    assert r2 * r2 == Radical.of(2)
-    assert r3 * r3 == Radical.of(3)
-    assert (r2 * r3) * (r2 * r3) == Radical.of(6)
-    assert r2 * r3 == Radical(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    x = Radical.of(1) + r2
-    assert x * x == Radical.of(3) + Radical.sqrt2(2)
-    assert (x - x).is_zero()
+    mul = RING.mul
+    assert mul(R2, R2) == (2, 0, 0, 0)
+    assert mul(R3, R3) == (3, 0, 0, 0)
+    r6 = mul(R2, R3)
+    assert mul(r6, r6) == (6, 0, 0, 0)
+    assert r6 == (0, 0, 0, 1)
+    x = tuple(map(add, ONE, R2))
+    assert mul(x, x) == (3, 2, 0, 0)
+    assert RING.sign(tuple(map(sub, x, x))) == 0
 
 
 def test_radical_exact_sign():
-    r2 = Radical.sqrt2()
-    r3 = Radical.sqrt3()
-    assert (r2 + r3).sign() == 1
-    assert (r2 - r3).sign() == -1
-    assert (Radical.of(Fraction(17, 12)) - r2).sign() == 1  # 17/12 > sqrt2
-    assert (Radical.of(Fraction(7, 5)) - r2).sign() == -1  # 7/5 < sqrt2
+    assert _sign4(0, 1, 1, 0) == 1  # sqrt2 + sqrt3
+    assert _sign4(0, 1, -1, 0) == -1  # sqrt2 - sqrt3
+    assert _sign4(17, -12, 0, 0) == 1  # 17/12 > sqrt2
+    assert _sign4(7, -5, 0, 0) == -1  # 7/5 < sqrt2
     # sqrt6 pulls in the cross term: 1 + sqrt2 ~ 2.414 < sqrt6 ~ 2.449
-    assert (Radical.of(1) + r2 - r2 * r3).sign() == -1
-    assert sorted([r3, Radical.of(1), r2]) == [Radical.of(1), r2, r3]
+    assert _sign4(1, 1, 0, -1) == -1
+    assert sorted([R3, ONE, R2], key=RING.sort_key()) == [ONE, R2, R3]
 
 
 def test_sqrt2_pow():
-    assert sqrt2_pow(0) == Radical.of(1)
-    assert sqrt2_pow(1) == Radical.sqrt2()
-    assert sqrt2_pow(2) == Radical.of(2)
-    assert sqrt2_pow(5) == Radical.sqrt2(4)
-    assert float(sqrt2_pow(3)) == pytest.approx(2 ** 1.5)
+    assert sqrt2_pow(0) == (1, 0)
+    assert sqrt2_pow(1) == (0, 1)
+    assert sqrt2_pow(2) == (2, 0)
+    assert sqrt2_pow(5) == (0, 4)
+    a, b = sqrt2_pow(3)
+    assert a + b * math.sqrt(2) == pytest.approx(2 ** 1.5)
+    with pytest.raises(ValueError):
+        sqrt2_pow(-1)
 
 
 # ------------------------------------------------------------------ grids
 
+BUILTIN_GRIDS = (square_grid, triangular_grid, honeycomb_grid, square_diagonal_grid, eighth_roots_grid,
+                 truncated_square_grid, dragon_axes_grid, *(lambda d=d: cubic_grid(d) for d in range(1, 9)))
+
+
 def test_builtin_grid_matrices():
     tri = triangular_grid()
-    h = Fraction(1, 2)
-    assert tri.generators == (
-        (Radical.of(1), Radical.of(0)),
-        (Radical.of(h), Radical.sqrt3(h)),
-        (Radical.of(-h), Radical.sqrt3(h)),
-    )
+    # (1, 0), (1/2, sqrt3/2), (-1/2, sqrt3/2) over 1, sqrt3 with denominator 2
+    assert (tri.denominator, tri.basis) == (2, (1, 3))
+    assert tri.generators == ((2, 0, 0, 0), (1, 0, 0, 1), (-1, 0, 0, 1))
     sq = square_diagonal_grid()
-    assert [[c.as_int() for c in g] for g in sq.generators] == [
-        [1, 0], [1, 1], [0, 1], [-1, 1]]
+    assert sq.generators == ((1, 0), (1, 1), (0, 1), (-1, 1))
+    assert sq.is_integral() and not tri.is_integral()
+    # every grid's declaration against its generators written from the geometry
+    for make in BUILTIN_GRIDS:
+        g = make()
+        assert (g.denominator, g.basis, g.generators) == declaration(GENERATORS[g.name]), g.name
+        assert g.is_integral() == (g.basis == (1,) and g.denominator == 1)
 
 
 def test_eighth_roots_unit_lengths():
     g = eighth_roots_grid()
+    ring = g.ring
     for gen in g.generators:
-        norm = gen[0] * gen[0] + gen[1] * gen[1]
-        assert norm == Radical.of(1)
+        x, y = gen[:2], gen[2:]
+        norm = tuple(map(add, ring.mul(x, x), ring.mul(y, y)))
+        assert norm == (g.denominator ** 2, 0)
 
 
 def test_grid_validation():
-    with pytest.raises(GridError):
-        Grid(2, ((Radical.of(1), Radical.of(0)), (Radical.of(2), Radical.of(0))))
-    with pytest.raises(GridError):
-        Grid(2, ((Radical.of(1), Radical.of(0)),))
+    with pytest.raises(GridError, match="generators 1 and 2 are dependent"):
+        Grid(2, ((1, 0), (2, 0)))
+    with pytest.raises(GridError, match="do not span"):
+        Grid(2, ((1, 0),))
+    with pytest.raises(GridError, match="dimension mismatch"):
+        Grid(2, ((1, 0, 0),))
+    with pytest.raises(GridError, match="integer coefficients"):
+        Grid(2, ((1, 0), (0.0, 1)))
+    with pytest.raises(GridError, match="basis"):
+        Grid(2, ((1, 0, 0, 0), (0, 0, 1, 0)), basis=(1, 2, 3))
+    with pytest.raises(GridError, match="denominator"):
+        Grid(2, ((1, 0), (0, 1)), denominator=0)
+    g = Grid(2, [[2, 0, 0, 0], [1, 0, 0, 1]], denominator=2, basis=[1, 3])
+    assert (g.generators, g.basis) == (((2, 0, 0, 0), (1, 0, 0, 1)), (1, 3))
+
+
+def test_grid_validation_rejects_dependent_radical_pairs():
+    # (1/2, sqrt3/2) and (1, sqrt3): the second is twice the first
+    with pytest.raises(GridError, match="generators 1 and 2 are dependent"):
+        Grid(2, ((1, 0, 0, 1), (2, 0, 0, 2)), denominator=2, basis=(1, 3))
+    # (sqrt2/2, sqrt2/2) and (1, 1): the second is sqrt2 times the first
+    with pytest.raises(GridError, match="generators 2 and 3 are dependent"):
+        Grid(2, ((2, 0, 0, 0), (0, 1, 0, 1), (2, 0, 2, 0)), denominator=2, basis=(1, 2))
+    # three pairwise independent directions in the plane z = 0
+    with pytest.raises(GridError, match="do not span"):
+        Grid(3, ((2, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0), (-1, 0, 0, 1, 0, 0)), denominator=2, basis=(1, 3))
+
+
+# coordinates of random generators: 0, +-1, +-1/2, +-sqrt2/2, +-sqrt3/2, sqrt6/4, 2, sqrt2
+_H = Fraction(1, 2)
+COORDS = (Radical(), Radical.of(1), Radical.of(-1), Radical.of(_H), Radical.of(-_H),
+          Radical.sqrt2(_H), Radical.sqrt2(-_H), Radical.sqrt3(_H), Radical.sqrt3(-_H),
+          Radical(0, 0, 0, Fraction(1, 4)), Radical.of(2), Radical.sqrt2())
+
+
+def _expected_rejection(gens, dim) -> str | None:
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if dependent(gens[i], gens[j]):
+                return f"generators {i + 1} and {j + 1} are dependent"
+    return None if spans(gens, dim) else "generators do not span the space"
+
+
+def test_grid_validation_matches_radical_reference():
+    rng = random.Random("grid-validation")
+    outcomes = set()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        gens = [tuple(rng.choice(COORDS) for _ in range(dim)) for _ in range(rng.randint(max(1, dim - 1), dim + 2))]
+        if len(gens) > 1 and rng.random() < 0.3:  # force a dependent pair
+            i, j = rng.sample(range(len(gens)), 2)
+            scalar = rng.choice(COORDS[1:])
+            gens[j] = tuple(scalar * c for c in gens[i])
+        want = _expected_rejection(gens, dim)
+        den, basis, ints = declaration(gens)
+        try:
+            Grid(dim, ints, denominator=den, basis=basis)
+            got = None
+        except GridError as exc:
+            got = str(exc)
+        assert got == want, (dim, gens)
+        outcomes.add(want if want is None else want.split()[-1])
+    assert outcomes == {None, "dependent", "space"}
 
 
 # ------------------------------------------------------------------ trace
@@ -120,7 +199,7 @@ def test_trace_island_closed():
 
 def test_trace_length_mismatch():
     with pytest.raises(GridError):
-        trace(SignedSequence((1, 2), Digiset(2)), square_grid(), [Radical.of(1)])
+        trace(SignedSequence((1, 2), Digiset(2)), square_grid(), [(1, 0)])
 
 
 def test_trace_digit_out_of_range():
@@ -132,8 +211,7 @@ def test_trace_v1_dragon_on_lattice():
     seq, exps = iterate_full(v1_dragon_length_system(), 4)
     lengths = [sqrt2_pow(e) for e in exps]
     p = trace(seq, dragon_axes_grid(), lengths)
-    for v in p.vertices:
-        assert all(c.as_int() is not None for c in v)
+    assert None not in p.lattice_points()
 
 
 def test_orientation_examples():
@@ -141,6 +219,20 @@ def test_orientation_examples():
     assert orientation(gray_sequence(4), cubic_grid(4)) == (0, 0, 0, 1)
     z = orientation(SignedSequence((1, 2, -1, -2), Digiset(2)), square_grid())
     assert z == (0, 0)
+
+
+def test_exact_vertices_only_on_integer_lattices():
+    seq = SignedSequence((1, 2), Digiset(3))
+    p = trace(seq, triangular_grid())
+    for read in (lambda: p.vertices, lambda: orientation(seq, triangular_grid())):
+        with pytest.raises(GridError, match="use float_vertices, lattice_points or points"):
+            read()
+    assert p.lattice_points() == [(0, 0), (1, 0), None]
+    # the dragon's sqrt2 lengths land back on the lattice, but the embedding keeps its basis
+    q = trace(SignedSequence((1, 3), Digiset(4)), dragon_axes_grid(), [sqrt2_pow(0), sqrt2_pow(1)])
+    assert q.lattice_points() == [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(GridError, match="float_vertices"):
+        q.vertices
 
 
 # ---------------------------------------------------------- self-avoidance
@@ -171,18 +263,7 @@ def test_v1_dragon_partial_overlap_detected():
 
 def test_partial_overlap_simple_case():
     # two horizontal edges sharing half their extent
-    vs = ((Radical.of(0), Radical.of(0)), (Radical.of(2), Radical.of(0)))
-    vs2 = ((Radical.of(1), Radical.of(0)),)
-    from fracseq.geometry import Polyline
-
-    p = Polyline.of((vs[0], vs[1], (Radical.of(2), Radical.of(1)),
-                     (Radical.of(1), Radical.of(1)), vs2[0]))
-    # last edge runs from (1,1) down to (1,0)? build a clean overlap instead
-    p = Polyline.of((
-        (Radical.of(0), Radical.of(0)), (Radical.of(2), Radical.of(0)),
-        (Radical.of(2), Radical.of(1)), (Radical.of(1), Radical.of(1)),
-        (Radical.of(1), Radical.of(0)), (Radical.of(3), Radical.of(0)),
-    ))
+    p = Polyline(((0, 0), (2, 0), (2, 1), (1, 1), (1, 0), (3, 0)))
     rep = self_avoidance_report(p)
     assert rep.partial_overlap_pairs == 1
     assert rep.has_overlap

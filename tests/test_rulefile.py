@@ -133,6 +133,15 @@ def test_error_positions():
     with pytest.raises(ParseError, match="unknown directive"):
         parse_rule_file("frobnicate 1\n")
 
+    # a connector's digit and its perm are located like any other token
+    head = "digiset 2\nkind wholecurve\nrule H\n"
+    with pytest.raises(ParseError, match="bad connector digit 'tor'") as exc:
+        parse_rule_file(head + "atom connector tor [2,1]^k\n")
+    assert (exc.value.line, exc.value.col) == (4, 16)
+    with pytest.raises(ParseError, match="magnitude 2 appears twice") as exc:
+        parse_rule_file(head + "atom connector 1 [2,2]^k\n")
+    assert (exc.value.line, exc.value.col) == (4, 18)
+
 
 def test_state_is_an_unknown_directive():
     text = HILBERT_WHOLECURVE.replace("kind wholecurve\n", "kind wholecurve\n  state H\n")
