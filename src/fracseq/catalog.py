@@ -15,6 +15,9 @@ extending property, and the per-curve geometric claims (coverage, edge
 multiplicities, closedness, hyper-orthogonality, lattice alignment,
 expected partial overlaps); the prefix and every check read their levels
 from one stream of the entry's system, so each level is built once.
+An entry names its checks; ``_CHECKS`` binds each name's level and
+parameters once, every check returns (passed, detail), and ``_run_check``
+alone turns that into a ``CheckResult``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .substitution import (
     Term,
     WholeCurveRule,
     extending,
+    iterate_full,
     levels,
 )
 
@@ -583,28 +587,26 @@ def _check_normalized(got: SignedSequence) -> CheckResult:
 
 
 def _run_check(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    try:
-        fn = _CHECKS[name.split(":")[0]]
-    except KeyError:
+    """The one place a declared check becomes a ``CheckResult``."""
+    fn = _CHECKS.get(name)
+    if fn is None:
         return CheckResult(name, False, "unknown check")
-    return fn(entry, name, memo)
+    passed, detail = fn(entry, memo)
+    return CheckResult(name, passed, detail)
 
 
-def _check_extending(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    return CheckResult(name, extending(memo.raw(k)[0] for k in range(4)))
+def _check_extending(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    return extending(memo.raw(k)[0] for k in range(level + 1)), ""
 
 
-def _check_closed(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    for k in range(0, 4):
-        p = trace(memo.seq(k), entry.grid)
-        if not p.closed:
-            return CheckResult(name, False, f"open at level {k}")
-    return CheckResult(name, True)
+def _check_closed(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    for k in range(level + 1):
+        if not trace(memo.seq(k), entry.grid).closed:
+            return False, f"open at level {k}"
+    return True, ""
 
 
-def _check_box_covering(
-    entry: CatalogEntry, name: str, memo: _Levels, level: int, drop_exit: bool
-) -> CheckResult:
+def _check_box_covering(entry: CatalogEntry, memo: _Levels, level: int, drop_exit: bool) -> tuple[bool, str]:
     """The level's vertices, less the exit edge (the connector out of the
     box) when ``drop_exit``, fill a box of side 2**(level + start level)
     once each."""
@@ -614,42 +616,47 @@ def _check_box_covering(
     side = 2 ** (level + entry.system.start_level)
     rep = coverage_report(p, lo, hi)
     box_ok = all(h - l + 1 == side for l, h in zip(lo, hi))
-    ok = rep.each_exactly_once and box_ok
-    return CheckResult(name, ok, f"box {lo}..{hi}, visited {rep.visited}/{rep.total}")
+    return rep.each_exactly_once and box_ok, f"box {lo}..{hi}, visited {rep.visited}/{rep.total}"
 
 
-def _check_edge_covering(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
+def _check_hamiltonian_cube(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    """The level less its exit edge, the steps of the reflected Gray code
+    on ``level`` bits, visits each vertex of the box {0,1}^level once and
+    nothing else."""
+    p = trace(memo.seq(level, -1), cubic_grid(level))
+    rep = coverage_report(p, (0,) * level, (1,) * level)
+    return rep.each_exactly_once and len(p.vertices) == rep.total, ""
+
+
+def _check_edge_covering(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
     # no doubled edge and no vertex visited 3+ times: a vertex with four
     # distinct incident edges is then visited exactly twice
-    rep = self_avoidance_report(trace(memo.seq(2), entry.grid), check_partial=False)
-    ok = rep.edge_covering
-    return CheckResult(name, ok, "" if ok else "an edge is doubled or a vertex seen 3+ times")
+    ok = self_avoidance_report(trace(memo.seq(level), entry.grid)).edge_covering
+    return ok, "" if ok else "an edge is doubled or a vertex seen 3+ times"
 
 
-def _check_edge_simple(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    rep = self_avoidance_report(trace(memo.seq(2), entry.grid), check_partial=False)
-    return CheckResult(name, rep.max_edge_multiplicity <= 1,
-                       f"max edge multiplicity {rep.max_edge_multiplicity}")
+def _check_edge_simple(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    rep = self_avoidance_report(trace(memo.seq(level), entry.grid))
+    return rep.max_edge_multiplicity <= 1, (
+        f"max edge multiplicity {rep.max_edge_multiplicity}, "
+        f"partial overlap pairs {rep.partial_overlap_pairs}")
 
 
-def _check_successor_constraint(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    bad = successor_violations(memo.seq(2), TRUNCATED_SQUARE_SUCCESSORS)
-    return CheckResult(name, not bad, "" if not bad else f"first violation {bad[0]}")
+def _check_successor_constraint(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    bad = successor_violations(memo.seq(level), TRUNCATED_SQUARE_SUCCESSORS)
+    return not bad, "" if not bad else f"first violation {bad[0]}"
 
 
-def _check_partial_overlap_expected(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    rep = self_avoidance_report(trace(memo.seq(4), entry.grid))
-    return CheckResult(name, rep.has_overlap and rep.partial_overlap_pairs > 0,
-                       f"partial overlap pairs: {rep.partial_overlap_pairs}")
+def _check_partial_overlap_expected(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    rep = self_avoidance_report(trace(memo.seq(level), entry.grid))
+    return rep.has_overlap and rep.partial_overlap_pairs > 0, f"partial overlap pairs: {rep.partial_overlap_pairs}"
 
 
-def _check_lattice_vertices(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    lengths = [sqrt2_pow(e) for e in memo.raw(5)[1]]
-    p = trace(memo.seq(5), entry.grid, lengths)
+def _check_lattice_vertices(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    lengths = [sqrt2_pow(e) for e in memo.raw(level)[1]]
+    p = trace(memo.seq(level), entry.grid, lengths)
     off = next((i for i, v in enumerate(p.lattice_points()) if v is None), None)
-    if off is not None:
-        return CheckResult(name, False, f"vertex {off} has a non-integer coordinate")
-    return CheckResult(name, True)
+    return off is None, "" if off is None else f"vertex {off} has a non-integer coordinate"
 
 
 def ternary_ones(n: int) -> int:
@@ -661,68 +668,65 @@ def ternary_ones(n: int) -> int:
     return c
 
 
-def _check_length_log_oracle(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    exps = memo.raw(6)[1]
-    want = [ternary_ones(i // 2) for i in range(len(exps))]
-    ok = list(exps) == want
+def _check_length_log_oracle(entry: CatalogEntry, memo: _Levels, level: int) -> tuple[bool, str]:
+    exps = memo.raw(level)[1]
+    ok = list(exps) == [ternary_ones(i // 2) for i in range(len(exps))]
     if ok and entry.length_log_prefix is not None:
         ok = tuple(exps[: len(entry.length_log_prefix)]) == entry.length_log_prefix
-    return CheckResult(name, ok)
+    return ok, ""
 
 
-def _check_hyper_orthogonal(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    order = int(name.split(":")[1])
-    level = 3 if entry.system.digiset.size == 3 else 2
-    return CheckResult(name, is_hyper_orthogonal(memo.seq(level), order))
-
-
-def _check_hamiltonian_cube(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    # level 6 less its exit edge: the steps of the 6-bit reflected Gray code
-    d = 6
-    p = trace(memo.seq(d, -1), cubic_grid(d))
-    verts = set(p.vertices)
-    ok = len(p.vertices) == 2**d and len(verts) == 2**d and all(
-        all(c in (0, 1) for c in v) for v in verts
-    )
-    return CheckResult(name, ok)
-
-
-def _check_gray_hyper_orthogonal(entry: CatalogEntry, name: str, memo: _Levels) -> CheckResult:
-    d = 6
-    return CheckResult(name, is_hyper_orthogonal(memo.seq(d, -1), d - 1))
+def _check_hyper_orthogonal(entry: CatalogEntry, memo: _Levels, level: int, order: int,
+                            drop_exit: bool = False) -> tuple[bool, str]:
+    return is_hyper_orthogonal(memo.seq(level, -1 if drop_exit else None), order), ""
 
 
 _CHECKS = {
-    "extending": _check_extending,
-    "closed": _check_closed,
+    "extending": partial(_check_extending, level=3),
+    "closed": partial(_check_closed, level=3),
     "vertex-covering": partial(_check_box_covering, level=3, drop_exit=False),
     "vertex-covering-sans-exit": partial(_check_box_covering, level=3, drop_exit=True),
-    "edge-covering": _check_edge_covering,
-    "edge-simple": _check_edge_simple,
-    "successor-constraint": _check_successor_constraint,
-    "partial-overlap-expected": _check_partial_overlap_expected,
-    "lattice-vertices": _check_lattice_vertices,
-    "length-log-oracle": _check_length_log_oracle,
-    "hyper-orthogonal": _check_hyper_orthogonal,
+    "edge-covering": partial(_check_edge_covering, level=2),
+    "edge-simple": partial(_check_edge_simple, level=2),
+    "successor-constraint": partial(_check_successor_constraint, level=2),
+    "partial-overlap-expected": partial(_check_partial_overlap_expected, level=4),
+    "lattice-vertices": partial(_check_lattice_vertices, level=5),
+    "length-log-oracle": partial(_check_length_log_oracle, level=6),
+    # 3D curves at level 3, 4D curves at level 2: windows up to 2**order
+    "hyper-orthogonal:1": partial(_check_hyper_orthogonal, level=3, order=1),
+    "hyper-orthogonal:2": partial(_check_hyper_orthogonal, level=2, order=2),
     "cube-covering": partial(_check_box_covering, level=2, drop_exit=True),
-    "hamiltonian-cube": _check_hamiltonian_cube,
-    "gray-hyper-orthogonal": _check_gray_hyper_orthogonal,
+    "hamiltonian-cube": partial(_check_hamiltonian_cube, level=6),
+    # level 6 less its exit edge is the 6-bit Gray code, hyper-orthogonal to order 5
+    "gray-hyper-orthogonal": partial(_check_hyper_orthogonal, level=6, order=5, drop_exit=True),
 }
+
+
+# streams that are an entry's base-sqrt2 length logarithms, not its digits
+_LENGTH_STREAMS = {"v1-dragon-lengths": "v1-dragon-sqdiag"}
 
 
 def stream_ids() -> tuple[str, ...]:
     """Every exportable stream: each entry's digits, plus the dragon's
     length logarithms."""
-    return tuple(e.id for e in catalog_list()) + ("v1-dragon-lengths",)
+    return tuple(e.id for e in catalog_list()) + tuple(_LENGTH_STREAMS)
+
+
+def stream_values(stream_id: str, count: int, level: int | None = None):
+    """A stream's first ``count`` terms or, given ``level``, all of that
+    level, as (values, length exponents beside them or None).  A length
+    stream's values are its entry's length exponents."""
+    source = _LENGTH_STREAMS.get(stream_id, stream_id)
+    if level is None:
+        seq, exps = generate_entry(source, count)
+    else:
+        seq, exps = iterate_full(get_entry(source).system, level)
+    return (exps, None) if source != stream_id else (seq.items, exps)
 
 
 def export_bfile(stream_id: str, count: int) -> bytes:
     """The first ``count`` terms of a stream as a b-file."""
-    if stream_id == "v1-dragon-lengths":
-        _, values = generate_entry("v1-dragon-sqdiag", count)
-    else:
-        values = generate_entry(stream_id, count)[0].items
-    return format_bfile(values)
+    return format_bfile(stream_values(stream_id, count)[0])
 
 
 def format_bfile(values) -> bytes:

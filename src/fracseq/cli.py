@@ -12,7 +12,7 @@ import sys
 
 from . import catalog
 from .geometry import cubic_grid, sqrt2_pow, trace
-from .perms import PermError, apply, compose, invert, parity, parse_perm
+from .perms import PermError, apply, compose, invert, named_perm, parity, parse_perm
 from .render import RenderError, RenderOptions, svg_export
 from .rulefile import ParseError, parse_rule_file
 from .sequences import (
@@ -38,16 +38,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    exps = None
-    if args.id == "v1-dragon-lengths":
-        # the dragon's length stream, as base-sqrt2 logarithms
-        _, values = catalog.generate_entry("v1-dragon-sqdiag", args.terms)
-    elif args.level is not None:
-        seq, exps = iterate_full(catalog.get_entry(args.id).system, args.level)
-        values = seq.items
-    else:
-        seq, exps = catalog.generate_entry(args.id, args.terms)
-        values = seq.items
+    values, exps = catalog.stream_values(args.id, args.terms, args.level)
     print(_fmt_seq(values))
     if exps is not None:
         print("lengths-log-sqrt2: " + _fmt_seq(exps))
@@ -139,21 +130,8 @@ def _cmd_rule_check(args) -> int:
     expansive = is_expansive(sys_)
     print(f"expansive: {'yes' if expansive else 'NO'}")
     if sys_.kind in ("edgewise", "digitwise") and sys_.digiset.size == 2:
-        from .perms import SignedPermutation
-
-        named = {
-            "mu": SignedPermutation((2, -1)),
-            "tau_x": SignedPermutation((-1, 2)),
-            "tau_y": SignedPermutation((1, -2)),
-            "tau_d": SignedPermutation((2, 1)),
-        }
-        commuting = []
-        for name, p in named.items():
-            try:
-                if check_commutation(sys_.rule, p, sys_.digiset):
-                    commuting.append(name)
-            except RuleError:
-                pass
+        commuting = [name for name in ("mu", "tau_x", "tau_y", "tau_d")
+                     if check_commutation(sys_.rule, named_perm(name, 2), sys_.digiset)]
         print("commutes with: " + (", ".join(commuting) if commuting else "none of mu, tau_x, tau_y, tau_d"))
     if sys_.start or sys_.kind == "wholecurve":
         # a pairlift read from a rule file has only its start level

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, product
 from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
@@ -274,7 +274,7 @@ class Polyline:
     ``points[i]`` holds vertex i axis by axis: for each axis, the integer
     coefficients of ``denominator`` times the coordinate over the radicands
     in ``basis``.  On an integer lattice (basis (1,), denominator 1) the
-    points are the vertices themselves.
+    points are the vertices themselves.  Construction checks every point.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -284,10 +284,22 @@ class Polyline:
     def __post_init__(self) -> None:
         if not self.points:
             raise GridError("a polyline has at least its entry vertex")
-        first = self.points[0]
-        if len(first) % len(self.basis) or not all(type(c) is int for c in first):
-            raise GridError("polyline points are integer coefficient tuples, "
+        width = len(self.points[0])
+        if width % len(self.basis) or not all(
+            len(v) == width and all(type(c) is int for c in v) for v in self.points
+        ):
+            raise GridError("polyline points are integer coefficient tuples of one length, "
                             f"axis by axis over the basis {self.basis}")
+
+    @classmethod
+    def _unchecked(cls, points, denominator: int, basis: tuple[int, ...]) -> Polyline:
+        """A polyline whose points are int tuples of one length by
+        construction, as ``trace`` builds them, without the per-point pass."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "points", points)
+        object.__setattr__(p, "denominator", denominator)
+        object.__setattr__(p, "basis", basis)
+        return p
 
     @property
     def dim(self) -> int:
@@ -400,7 +412,7 @@ def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Pol
     for key in keys:
         pos = tuple(map(add, pos, steps[key]))
         append(pos)
-    return Polyline(tuple(out), grid.denominator // g, ring.basis)
+    return Polyline._unchecked(tuple(out), grid.denominator // g, ring.basis)
 
 
 def orientation(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> tuple[int, ...]:
@@ -537,33 +549,17 @@ def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...], misse
     for l, h in zip(lo, hi):
         total *= h - l + 1
     visited = len(counts)
-    missed: list[tuple] = []
+    missed: tuple[tuple, ...] = ()
     if visited < total and missed_cap > 0:
-        missed = _first_missed(counts, lo, hi, missed_cap)
+        box = product(*(range(l, h + 1) for l, h in zip(lo, hi)))  # lexicographic
+        missed = tuple(islice((v for v in box if v not in counts), missed_cap))
     return CoverageReport(
         total=total,
         visited=visited,
         fraction=visited / total if total else 1.0,
         each_exactly_once=visited == total and all(c == 1 for c in counts.values()),
-        missed=tuple(missed),
+        missed=missed,
     )
-
-
-def _first_missed(counts, lo, hi, cap):
-    missed = []
-
-    def rec(prefix, axis):
-        if len(missed) >= cap:
-            return
-        if axis == len(lo):
-            if tuple(prefix) not in counts:
-                missed.append(tuple(prefix))
-            return
-        for c in range(lo[axis], hi[axis] + 1):
-            rec(prefix + [c], axis + 1)
-
-    rec([], 0)
-    return missed
 
 
 TRUNCATED_SQUARE_SUCCESSORS = {

@@ -1,6 +1,9 @@
 """Gray sequences, hyper-orthogonality, and the 3D/4D hyper-orthogonal
 Hilbert constructions.
 
+Hyper-orthogonality rests on one fact: unit steps stay inside a unit cube
+exactly when the steps along each axis alternate in sign.
+
 The Hilbert constructions are driven by perm tables: one row per sub-cube,
 holding the isometry that fills it and the exit edge that leads to the
 next one.  Each row's type (whether the block's entry or exit edge is
@@ -11,13 +14,14 @@ the exit edge of each block must be the entry edge of the next.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .perms import SignedPermutation, PermError
 from .sequences import Digiset, SignedSequence, UNBOUNDED, fold
 from .substitution import (
+    DigitRule,
     PostTransform,
     StateAtom,
     SubstitutionSystem,
@@ -65,76 +69,39 @@ def gray_extended(d: int, type_: int) -> SignedSequence:
 def is_hyper_orthogonal(s: SignedSequence, n: int) -> bool:
     """Every window of 2**k consecutive edges (k = 1..n) must use exactly
     k+1 distinct axes and trace vertices inside a unit cube (bounding box
-    at most 1 on every axis)."""
+    at most 1 on every axis).  One pass finds the shortest window holding
+    two successive equal-sign steps on one axis, which bounds every order
+    at once; the axis count slides over each window size in turn.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
     items = s.items
     length = len(items)
-    if length == 0:
-        return True
-    d = max(abs(x) for x in items)
-    # vertex coordinates per axis, prefix-traced from the origin
-    pos = [[0] * (length + 1) for _ in range(d)]
+    shortest = length + 1
+    last: dict[int, int] = {}  # axis -> index of its latest step
     for i, x in enumerate(items):
-        a = abs(x) - 1
-        for ax in range(d):
-            pos[ax][i + 1] = pos[ax][i] + ((1 if x > 0 else -1) if ax == a else 0)
-    axes = [abs(x) - 1 for x in items]
+        j = last.get(abs(x))
+        if j is not None and items[j] == x:
+            shortest = min(shortest, i - j + 1)
+        last[abs(x)] = i
+    axes = [abs(x) for x in items]
     for k in range(1, n + 1):
         m = 2**k
         if m > length:
             break
-        if not _windows_ok(axes, pos, length, d, m, k + 1):
+        if m >= shortest:
             return False
-    return True
-
-
-def _windows_ok(axes, pos, length, d, m, want_axes) -> bool:
-    counts = [0] * d
-    distinct = 0
-    for i in range(m):
-        if counts[axes[i]] == 0:
-            distinct += 1
-        counts[axes[i]] += 1
-    # monotonic deques over the m+1 vertices of each window
-    mins = [deque() for _ in range(d)]
-    maxs = [deque() for _ in range(d)]
-
-    def push(ax, idx):
-        v = pos[ax][idx]
-        while mins[ax] and pos[ax][mins[ax][-1]] >= v:
-            mins[ax].pop()
-        mins[ax].append(idx)
-        while maxs[ax] and pos[ax][maxs[ax][-1]] <= v:
-            maxs[ax].pop()
-        maxs[ax].append(idx)
-
-    for ax in range(d):
-        for idx in range(m + 1):
-            push(ax, idx)
-    start = 0
-    while True:
-        if distinct != want_axes:
+        counts = Counter(axes[:m])
+        if len(counts) != k + 1:
             return False
-        for ax in range(d):
-            if pos[ax][maxs[ax][0]] - pos[ax][mins[ax][0]] > 1:
+        for old, new in zip(axes, axes[m:]):
+            counts[old] -= 1
+            if not counts[old]:
+                del counts[old]
+            counts[new] += 1
+            if len(counts) != k + 1:
                 return False
-        if start + m >= length:
-            return True
-        # slide: drop edge `start`, vertex `start`; add edge/vertex at the end
-        counts[axes[start]] -= 1
-        if counts[axes[start]] == 0:
-            distinct -= 1
-        if counts[axes[start + m]] == 0:
-            distinct += 1
-        counts[axes[start + m]] += 1
-        start += 1
-        for ax in range(d):
-            if mins[ax][0] < start:
-                mins[ax].popleft()
-            if maxs[ax][0] < start:
-                maxs[ax].popleft()
-            push(ax, start + m)
+    return True
 
 
 @dataclass(frozen=True)
@@ -364,8 +331,6 @@ def entry_point(d: int, k: int, type_: int, x) -> tuple[int, ...]:
 
 def gray_t1_system() -> SubstitutionSystem:
     """Uniform two-term substitution generating the Gray sequence."""
-    from .substitution import DigitRule
-
     def image(x: int):
         sgn = 1 if x > 0 else -1
         head = 1 if abs(x) == 1 else -1
@@ -383,8 +348,6 @@ def gray_t2_system() -> SubstitutionSystem:
     The images of -1 and +1 are each other's path inverses rather than
     negations, so this rule is built without the negation-symmetry check.
     """
-    from .substitution import DigitRule
-
     def image(x: int):
         if abs(x) == 1:
             raise AssertionError("handled by explicit entries")

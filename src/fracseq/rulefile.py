@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .perms import PermError, parse_perm
 from .sequences import Digiset
@@ -147,13 +148,18 @@ def _parse_term(tok: str, line: int, col: int) -> Term:
     return Term(p, sign=sign, reverse=reverse, scale_pow=scale_pow, alt_sign=alt)
 
 
-def _parse_post(arg: str, line: int, col: int) -> PostTransform:
-    m = re.match(r"^(\[.*\])\^(k\+1|kmod2|k)$", arg.replace(" ", ""))
+_PERM_POWER_RE = re.compile(r"^(\[.*\])\^(k\+1|kmod2|k)$")
+
+
+def _parse_perm_power(build, text: str, what: str, line: int, col: int):
+    """``build(perm, exp)`` from ``[perm]^exp``; ``what`` names the
+    directive when the text does not parse."""
+    m = _PERM_POWER_RE.match(text.replace(" ", ""))
     if not m:
-        raise ParseError(f"bad post transform {arg!r}", line, col)
+        raise ParseError(f"bad {what} {text!r}", line, col)
     try:
-        return PostTransform(parse_perm(m.group(1)), m.group(2).replace("+", "+"))
-    except (PermError, ValueError) as exc:
+        return build(parse_perm(m.group(1)), m.group(2))
+    except ValueError as exc:
         raise ParseError(str(exc), line, col) from None
 
 
@@ -253,14 +259,8 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
                     atom = ConnectorAtom(digit)
                 else:
                     tcol = digit_col + payload.find(toks[1], len(toks[0]))
-                    m = re.match(r"^(\[.*\])\^(k\+1|kmod2|k)$", toks[1].replace(" ", ""))
-                    if not m:
-                        raise ParseError(f"bad connector transform {toks[1]!r}", line_no, tcol)
-                    try:
-                        perm = parse_perm(m.group(1))
-                    except PermError as exc:
-                        raise ParseError(str(exc), line_no, tcol) from None
-                    atom = ConnectorAtom(digit, perm, m.group(2))
+                    atom = _parse_perm_power(partial(ConnectorAtom, digit), toks[1], "connector transform",
+                                             line_no, tcol)
             else:
                 atom = StateAtom(target, _parse_term(payload, line_no, arg_col))
             if current_state is None:
@@ -270,7 +270,7 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
         elif head == "output":
             output_state = arg
         elif head == "post":
-            post = _parse_post(arg, line_no, arg_col)
+            post = _parse_perm_power(PostTransform, arg, "post transform", line_no, arg_col)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, col)
 

@@ -254,3 +254,22 @@ def test_generate_entry_skips_only_the_one_edge_pairlift_level(monkeypatch):
     got, _ = generate_entry("arndt-peano-truncated", 20)
     assert got.items == get_entry("arndt-peano-truncated").expected_prefix[:20]
     assert levels == [1, 2, 3]
+
+
+def test_edge_simple_reports_partial_overlaps():
+    # the verdict reads whole-edge multiplicity; the partial overlaps show in the detail
+    checks = {c.name: c for c in verify_entry("arndt-peano-truncated").checks}
+    assert checks["edge-simple"].passed
+    assert checks["edge-simple"].detail == "max edge multiplicity 1, partial overlap pairs 10"
+
+
+def test_unknown_check_fails_in_the_report(monkeypatch):
+    import dataclasses
+
+    from fracseq import catalog
+
+    entry = dataclasses.replace(get_entry("box4"), checks=("extending", "no-such-check"))
+    monkeypatch.setitem(catalog._BY_ID, "box4", entry)
+    results = {c.name: (c.passed, c.detail) for c in verify_entry("box4").checks}
+    assert results["extending"] == (True, "")
+    assert results["no-such-check"] == (False, "unknown check")

@@ -57,6 +57,15 @@ def test_gen_length_stream_id(tmp_path, capsys):
     assert target.read_bytes() == b"1 0\n2 0\n3 1\n4 1\n"
 
 
+def test_gen_length_stream_at_a_level(tmp_path, capsys):
+    assert main(["gen", "v1-dragon-sqdiag", "--level", "2"]) == 0
+    lengths = capsys.readouterr().out.splitlines()[1].removeprefix("lengths-log-sqrt2: ")
+    target = tmp_path / "lens.txt"
+    assert main(["gen", "v1-dragon-lengths", "--level", "2", "--bfile", str(target)]) == 0
+    assert capsys.readouterr().out.strip() == lengths == "0,0,1,1,0,0,1,1,2"
+    assert target.read_bytes() == b"".join(f"{n} {v}\n".encode() for n, v in enumerate(lengths.split(","), 1))
+
+
 def test_gen_level_bfile_matches_stdout(tmp_path, capsys):
     target = tmp_path / "island.txt"
     assert main(["gen", "mandelbrot-island", "--level", "2", "--bfile", str(target)]) == 0

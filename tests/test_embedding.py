@@ -141,6 +141,20 @@ def test_trace_grid_errors():
         trace(SignedSequence((1, 2), Digiset(2)), square_grid(), [(1, 0), 1])
 
 
+def test_polyline_checks_every_point():
+    with pytest.raises(GridError, match="of one length"):
+        Polyline(((0, 0), (1,), (2, 0)))  # ragged point
+    with pytest.raises(GridError, match="integer coefficient tuples"):
+        Polyline(((0, 0), (1, 0), (2.5, 0)))  # non-int coordinate past the first point
+    with pytest.raises(GridError):
+        Polyline(((0, 0), (1,), (2.5, "x")))
+
+
+def test_trace_builds_a_valid_polyline():
+    p = trace(SignedSequence((1, 2, 3, -1), Digiset(4)), dragon_axes_grid())
+    assert p == Polyline(p.points, p.denominator, p.basis)
+
+
 # ------------------------------------------------------------ partial overlap
 
 def entry_polyline(entry_id: str, level: int, with_lengths: bool) -> Polyline:

@@ -296,6 +296,12 @@ def test_coverage_missed_listing():
     rep = coverage_report(p, (0, 0), (1, 1), missed_cap=10)
     assert rep.visited == 2
     assert set(rep.missed) == {(0, 1), (1, 1)}
+    # missed points come in lexicographic order, at most missed_cap of them
+    assert rep.missed == ((0, 1), (1, 1))
+    big = coverage_report(p, (0, 0), (2, 2), missed_cap=3)
+    assert big.missed == ((0, 1), (0, 2), (1, 1))
+    assert coverage_report(p, (0, 0), (2, 2), missed_cap=0).missed == ()
+    assert len(coverage_report(p, (0, 0), (2, 2)).missed) == 7
 
 
 # ------------------------------------------------------------- invariants
