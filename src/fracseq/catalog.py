@@ -1,11 +1,11 @@
 """The curve encyclopedia: fifteen named sequences as executable data.
 
-Each entry bundles a digiset, a substitution system, a grid and the
-frozen expected prefix its generator must reproduce exactly.  Entries are
-listed in the total order on sequences (positives before negatives,
-smaller magnitudes first), under which the Mandelbrot island sorts
-immediately before the Mandelbrot flowsnake: the two share seven leading
-terms and differ first at position eight (2 versus -2).
+Each entry bundles a substitution system (whose digiset is the entry's),
+a grid and the frozen expected prefix its generator must reproduce
+exactly.  Entries are listed in the total order on sequences (positives
+before negatives, smaller magnitudes first), under which the Mandelbrot
+island sorts immediately before the Mandelbrot flowsnake: the two share
+seven leading terms and differ first at position eight (2 versus -2).
 
 ``generate_entry`` reads the entry's levels off one ``levels`` stream
 until the requested prefix agrees between two successive levels, and
@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .gray import HILBERT_SPECS, gray_t1_system, hilbert_system, is_hyper_orthogonal
 from .perms import SignedPermutation, identity, power
-from .sequences import Digiset, SignedSequence, UNBOUNDED, is_normalized, sort_key
+from .sequences import Digiset, SignedSequence, is_normalized, sort_key
 from .substitution import (
     ConnectorAtom,
     DigitRule,
@@ -69,17 +69,9 @@ TAU_X = SignedPermutation((-1, 2))
 TAU_D = SignedPermutation((2, 1))
 
 
-def _terms(*specs) -> tuple[Term, ...]:
-    """specs: (sign, perm) or (sign, perm, reverse) or Term."""
-    out = []
-    for s in specs:
-        if isinstance(s, Term):
-            out.append(s)
-        else:
-            sign, p = s[0], s[1]
-            rev = s[2] if len(s) > 2 else False
-            out.append(Term(p, sign=sign, reverse=rev))
-    return tuple(out)
+def _terms(*specs: tuple[int, SignedPermutation]) -> tuple[Term, ...]:
+    """Terms from (sign, perm) pairs."""
+    return tuple(Term(p, sign=sign) for sign, p in specs)
 
 
 def dekking_flowsnake_system() -> SubstitutionSystem:
@@ -91,7 +83,7 @@ def dekking_flowsnake_system() -> SubstitutionSystem:
         (1, TAU_Y), (1, MU2), (1, IOTA2), (-1, TAU_D), (-1, TAU_D),
     )
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
+        digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
         name="dekking-flowsnake",
     )
 
@@ -105,7 +97,7 @@ def mandelbrot_flowsnake_system() -> SubstitutionSystem:
         (-1, TAU_D), (1, IOTA2), (-1, TAU_D), (1, IOTA2), (-1, TAU_D),
     )
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
+        digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
         name="mandelbrot-flowsnake",
     )
 
@@ -113,7 +105,7 @@ def mandelbrot_flowsnake_system() -> SubstitutionSystem:
 def mandelbrot_island_system() -> SubstitutionSystem:
     t = _terms((1, IOTA2), (1, MU2), (1, IOTA2), (1, MU2), (1, IOTA2), (1, MU2), (1, IOTA2))
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(2), rule=EdgewiseRule(t), start=(1, 2, -1, -2),
+        digiset=Digiset(2), rule=EdgewiseRule(t), start=(1, 2, -1, -2),
         name="mandelbrot-island",
     )
 
@@ -126,7 +118,7 @@ def box4_system() -> SubstitutionSystem:
         Term(MU2, reverse=True, alt_sign="k+1"),
     )
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,), name="box4",
+        digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,), name="box4",
     )
 
 
@@ -138,7 +130,7 @@ def box4_digit_system() -> SubstitutionSystem:
         (2, 1): ((-1, 0), (-2, 0), (1, 1), (-2, 1)),
     })
     return SubstitutionSystem(
-        kind="digitwise", digiset=Digiset(2), rule=rule, start=((1, 0),), name="box4-digits",
+        digiset=Digiset(2), rule=rule, start=((1, 0),), name="box4-digits",
     )
 
 
@@ -148,7 +140,7 @@ def arndt_peano_system() -> SubstitutionSystem:
         (-1, MU2), (1, IOTA2), (1, MU2), (1, IOTA2),
     )
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
+        digiset=Digiset(2), rule=EdgewiseRule(t), start=(1,),
         name="arndt-peano",
     )
 
@@ -163,7 +155,7 @@ TRUNCATED_SQUARE_PAIRS = PairRule({
 
 def arndt_truncated_system() -> SubstitutionSystem:
     return SubstitutionSystem(
-        kind="pairlift", digiset=Digiset(4), rule=TRUNCATED_SQUARE_PAIRS,
+        digiset=Digiset(4), rule=TRUNCATED_SQUARE_PAIRS,
         base=arndt_peano_system(), name="arndt-peano-truncated",
     )
 
@@ -174,7 +166,7 @@ V1_MU = SignedPermutation((-4, 3, -1, -2))
 def v1_dragon_system() -> SubstitutionSystem:
     t = (Term(identity(4)), Term(power(V1_MU, 2), reverse=True), Term(power(V1_MU, 3)))
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(4), rule=EdgewiseRule(t), start=(1,),
+        digiset=Digiset(4), rule=EdgewiseRule(t), start=(1,),
         name="v1-dragon",
     )
 
@@ -185,7 +177,7 @@ def v1_dragon_length_system() -> SubstitutionSystem:
     first, second, third = v1_dragon_system().rule.terms
     t = (first, second, replace(third, scale_pow=1))
     return SubstitutionSystem(
-        kind="edgewise", digiset=Digiset(4), rule=EdgewiseRule(t), start=(1,),
+        digiset=Digiset(4), rule=EdgewiseRule(t), start=(1,),
         name="v1-dragon-lengths",
     )
 
@@ -202,7 +194,7 @@ def hilbert_original_system() -> SubstitutionSystem:
     )
     rule = WholeCurveRule(productions={"H": atoms}, starts={"H": (1, 2, -1)}, output_state="H")
     return SubstitutionSystem(
-        kind="wholecurve", digiset=Digiset(2), rule=rule, start_level=1,
+        digiset=Digiset(2), rule=rule,
         name="hilbert-original",
     )
 
@@ -221,7 +213,7 @@ def hilbert_drawing_system() -> SubstitutionSystem:
     )
     rule = WholeCurveRule(productions={"H": atoms}, starts={"H": (1, 2, -1)}, output_state="H")
     return SubstitutionSystem(
-        kind="wholecurve", digiset=Digiset(2), rule=rule, start_level=1,
+        digiset=Digiset(2), rule=rule,
         name="hilbert-drawing",
     )
 
@@ -234,7 +226,7 @@ def hilbert_digit_system() -> SubstitutionSystem:
         (2, 1): ((-1, 0), (-2, 0), (1, 1), (1, 0)),
     })
     return SubstitutionSystem(
-        kind="digitwise", digiset=Digiset(2), rule=rule, start=((1, 0),),
+        digiset=Digiset(2), rule=rule, start=((1, 0),),
         name="hilbert-digits",
     )
 
@@ -249,7 +241,7 @@ def beta_omega_system() -> SubstitutionSystem:
         (2, 2): ((-2, 2), (-1, 0), (2, 1), (2, 0)),
     })
     return SubstitutionSystem(
-        kind="digitwise", digiset=Digiset(2), rule=rule, start=((1, 0),), name="beta-omega",
+        digiset=Digiset(2), rule=rule, start=((1, 0),), name="beta-omega",
     )
 
 
@@ -272,7 +264,7 @@ def beta_omega_state_system() -> SubstitutionSystem:
         normalizer=PostTransform(TAU_X, "k+1"),
     )
     return SubstitutionSystem(
-        kind="wholecurve", digiset=Digiset(2), rule=rule, start_level=1,
+        digiset=Digiset(2), rule=rule,
         name="beta-omega-states",
     )
 
@@ -281,7 +273,6 @@ def beta_omega_state_system() -> SubstitutionSystem:
 class CatalogEntry:
     id: str
     title: str
-    digiset: Digiset
     system: SubstitutionSystem
     grid: Grid | None
     expected_prefix: tuple[int, ...]
@@ -290,12 +281,15 @@ class CatalogEntry:
     checks: tuple[str, ...] = ()
     length_log_prefix: tuple[int, ...] | None = None
 
+    @property
+    def digiset(self) -> Digiset:
+        return self.system.digiset
+
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="dekking-flowsnake",
         title="Dekking's flowsnake",
-        digiset=Digiset(2),
         system=dekking_flowsnake_system(),
         grid=square_grid(),
         expected_prefix=(1, 1, 2, -1, 2, 1, 2, -1, -1, 2, 1, 1, 1, 2, 1, -2, -2, -1, -2, -2,
@@ -305,7 +299,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="mandelbrot-flowsnake",
         title="Mandelbrot's 4x3 flowsnake",
-        digiset=Digiset(2),
         system=mandelbrot_flowsnake_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, 1, 2, 1, 2, 1, -2, 1, -2, 1, -2, -1, -2, -1, 2, 2, -1, -2, -1,
@@ -317,7 +310,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="mandelbrot-island",
         title="Mandelbrot's flowsnake island",
-        digiset=Digiset(2),
         system=mandelbrot_island_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, 1, 2, 1, 2, 1, 2, -1, 2, -1, 2, -1, 2, 1, 2, 1, 2, 1, 2,
@@ -329,7 +321,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="box4",
         title="Ventrella's Box 4",
-        digiset=Digiset(2),
         system=box4_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, 1, -2, 1, -2, -1, -2, 1, -2, 1, 2, 1, 2, -1, 2, 1, -2, 1, 2,
@@ -341,7 +332,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="arndt-peano",
         title="Arndt's Peano curve (R9-1)",
-        digiset=Digiset(2),
         system=arndt_peano_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, 1, -2, -1, -2, 1, 2, 1, 2, -1, 2, 1, -2, 1, 2, -1, 2, 1, 2,
@@ -351,7 +341,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="arndt-peano-truncated",
         title="Arndt's Peano curve on the truncated square grid",
-        digiset=Digiset(4),
         system=arndt_truncated_system(),
         grid=truncated_square_grid(),
         expected_prefix=(1, 2, 3, 2, 1, 4, -3, -2, -1, -2, -3, 4, 1, 2, 3, 2, 1, 2, 3, -4,
@@ -361,7 +350,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="v1-dragon-8roots",
         title="Ventrella's V1 dragon on the eighth-roots grid",
-        digiset=Digiset(4),
         system=v1_dragon_system(),
         grid=dragon_axes_grid(),
         expected_prefix=(1, 2, 3, 4, -1, 2, 3, 4, -2, 1, -3, 4, -1, -2, -3, 4, -1, 2, 3, 4,
@@ -373,7 +361,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="v1-dragon-sqdiag",
         title="Ventrella's V1 dragon on the square-diagonal grid",
-        digiset=Digiset(4),
         system=v1_dragon_length_system(),
         grid=dragon_axes_grid(),
         expected_prefix=(1, 2, 3, 4, -1, 2, 3, 4, -2, 1, -3, 4, -1, -2, -3, 4, -1, 2, 3, 4,
@@ -388,7 +375,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="hilbert-original",
         title="Hilbert's curve, normalized and extending",
-        digiset=Digiset(2),
         system=hilbert_original_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, -1, 2, 2, 1, -2, 1, 2, 1, -2, -2, -1, -2, 1, 1, 2, 1, -2, 1,
@@ -398,7 +384,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="hilbert-3d-origin",
         title="3D hyper-orthogonal Hilbert curve, origin entry",
-        digiset=Digiset(3),
         system=hilbert_system(HILBERT_SPECS["3d-origin"]),
         grid=cubic_grid(3),
         expected_prefix=(1, 2, -1, 3, 1, -2, -1, 3, 1, 3, -1, 2, 1, -3, -1, 2, 1, 3, -1, 2,
@@ -408,7 +393,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="hilbert-4d-origin",
         title="4D hyper-orthogonal Hilbert curve, origin entry",
-        digiset=Digiset(4),
         system=hilbert_system(HILBERT_SPECS["4d-origin"]),
         grid=cubic_grid(4),
         expected_prefix=(1, 2, -1, 3, 1, -2, -1, 4, 1, 2, -1, -3, 1, -2, -1, 4, 1, 3, -1, 4,
@@ -420,7 +404,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="gray",
         title="Gray curve",
-        digiset=UNBOUNDED,
         system=gray_t1_system(),
         grid=None,
         expected_prefix=(1, 2, -1, 3, 1, -2, -1, 4, 1, 2, -1, -3, 1, -2, -1, 5, 1, 2, -1, 3,
@@ -431,7 +414,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="hilbert-4d-nonorigin",
         title="4D hyper-orthogonal Hilbert curve, non-origin entry",
-        digiset=Digiset(4),
         system=hilbert_system(HILBERT_SPECS["4d-nonorigin"]),
         grid=cubic_grid(4),
         expected_prefix=(1, 2, -1, 3, 1, -2, -1, 4, 1, 2, -1, -3, 1, -2, -1, -3, 1, -4, -1, 2,
@@ -441,7 +423,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="hilbert-3d-nonorigin",
         title="3D hyper-orthogonal Hilbert curve, non-origin entry",
-        digiset=Digiset(3),
         system=hilbert_system(HILBERT_SPECS["3d-nonorigin"]),
         grid=cubic_grid(3),
         expected_prefix=(1, 2, -1, 3, 1, -2, -1, -2, -3, 1, 3, -2, -3, -1, 3, -1, -3, -1, 3, 2,
@@ -453,7 +434,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="beta-omega",
         title="beta-Omega curve",
-        digiset=Digiset(2),
         system=beta_omega_system(),
         grid=square_grid(),
         expected_prefix=(1, 2, -1, -1, -2, -1, 2, 2, 2, 1, -2, 1, 2, 1, -2, 1, 2, 1, -2, -2,

@@ -122,9 +122,8 @@ def _cmd_seq(args) -> int:
 def _cmd_rule_check(args) -> int:
     with open(args.rulefile, "r", encoding="utf-8") as fh:
         text = fh.read()
-    parsed = parse_rule_file(text)
-    sys_ = parsed.system
-    print(f"name: {parsed.name}")
+    sys_ = parse_rule_file(text)
+    print(f"name: {sys_.name or 'unnamed'}")
     print(f"kind: {sys_.kind}")
     print(f"digiset: {sys_.digiset}")
     expansive = is_expansive(sys_)

@@ -294,10 +294,8 @@ def hilbert_system(spec: HilbertSpec) -> SubstitutionSystem:
         normalizer=PostTransform(spec.normalizer_perm, "k+1"),
     )
     return SubstitutionSystem(
-        kind="wholecurve",
         digiset=Digiset(d),
         rule=rule,
-        start_level=1,
         name=f"hilbert-{spec.d}d-{spec.entry_class}",
     )
 
@@ -338,7 +336,7 @@ def gray_t1_system() -> SubstitutionSystem:
 
     rule = DigitRule(mapping={}, default=image)
     return SubstitutionSystem(
-        kind="digitwise", digiset=UNBOUNDED, rule=rule, start=((1, 0),), name="gray-t1"
+        digiset=UNBOUNDED, rule=rule, start=((1, 0),), name="gray-t1"
     )
 
 
@@ -360,5 +358,5 @@ def gray_t2_system() -> SubstitutionSystem:
         strict_negation=False,
     )
     return SubstitutionSystem(
-        kind="digitwise", digiset=UNBOUNDED, rule=rule, start=((1, 0),), name="gray-t2"
+        digiset=UNBOUNDED, rule=rule, start=((1, 0),), name="gray-t2"
     )

@@ -52,10 +52,6 @@ class SignedPermutation:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 
 
-def perm(*images: int) -> SignedPermutation:
-    return SignedPermutation(tuple(images))
-
-
 def identity(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, n + 1)))
 

@@ -16,19 +16,32 @@ Grammar (one directive per line, ``#`` starts a comment):
     output <state>
     post <perm>^<exp>                exp: k | k+1 | kmod2
 
+``name`` and ``digiset`` may stand anywhere.  ``kind`` comes once, before
+any other directive, and each kind reads only these:
+
+    edgewise     start, term, post
+    digitwise    start, digit, post
+    wholecurve   start, rule, atom, output, post
+    pairlift     start, pair
+
+``post`` relabels the curve after each step; in a wholecurve it is the
+rule's read-out normalizer instead.
+
 Terms: an optional leading ``-`` negates; ``~k`` or ``~k+1`` makes the
 sign alternate with the level; ``*R`` reverses; a trailing ``*sqrt2``,
 ``*sqrt2^E`` or ``*2`` scales the parallel length stream (powers of
 sqrt2 only).  Variants carry apostrophes: ``1``, ``-2'``, ``1''``.
 
 Sequences are comma-separated signed integers, `<...>` brackets optional.
-Errors name the line and column of the offending token.
+Errors name the line and column of the offending token, including a
+directive the kind does not read and an ``atom``, ``rule``, ``output``,
+``term`` or ``digit`` line that the built system would reject.  A missing
+section is reported at line 1, column 1.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 
 from .perms import PermError, parse_perm
@@ -53,14 +66,24 @@ class ParseError(ValueError):
         self.col = col
 
 
+def _int(tok: str, what: str, line: int, col: int) -> int:
+    """``int(tok)``, or a ParseError naming ``what``: int() also refuses
+    a token of more than 4,300 digits."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", line, col) from None
+
+
 _VARIANT_RE = re.compile(r"^(-?\d+)('*)$")
 
 
 def _parse_variant(tok: str, line: int, col: int) -> Variant:
     m = _VARIANT_RE.match(tok)
-    if not m or int(m.group(1)) == 0:
+    digit = _int(m.group(1), "variant token", line, col) if m else 0
+    if digit == 0:
         raise ParseError(f"bad variant token {tok!r}", line, col)
-    return (int(m.group(1)), len(m.group(2)))
+    return (digit, len(m.group(2)))
 
 
 def _parse_int_list(text: str, line: int, col: int) -> tuple[int, ...]:
@@ -72,10 +95,7 @@ def _parse_int_list(text: str, line: int, col: int) -> tuple[int, ...]:
     out = []
     for tok in t.split(","):
         tok = tok.strip()
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"bad integer {tok!r}", line, col + text.find(tok)) from None
+        v = _int(tok, "integer", line, col + text.find(tok))
         if v == 0:
             raise ParseError("0 is not a digit", line, col + text.find(tok))
         out.append(v)
@@ -94,9 +114,9 @@ def _parse_scale(tok: str, line: int, col: int) -> int:
         return 1
     m = re.match(r"^sqrt2\^(\d+)$", tok)
     if m:
-        return int(m.group(1))
-    if tok.isdigit():
-        n = int(tok)
+        return _int(m.group(1), "scale", line, col)
+    if tok.isdecimal():
+        n = _int(tok, "scale", line, col)
         e = 0
         while n > 1 and n % 2 == 0:
             n //= 2
@@ -163,25 +183,32 @@ def _parse_perm_power(build, text: str, what: str, line: int, col: int):
         raise ParseError(str(exc), line, col) from None
 
 
-@dataclass
-class ParsedRuleFile:
-    name: str
-    system: SubstitutionSystem
+# the directives each kind reads; name and digiset are read by every kind
+_READS = {
+    "edgewise": ("start", "term", "post"),
+    "digitwise": ("start", "digit", "post"),
+    "wholecurve": ("start", "rule", "atom", "output", "post"),
+    "pairlift": ("start", "pair"),
+}
+_KIND_DIRECTIVES = frozenset(d for reads in _READS.values() for d in reads)
 
 
-def parse_rule_file(text: str) -> ParsedRuleFile:
+def parse_rule_file(text: str) -> SubstitutionSystem:
     name = ""
     digiset: Digiset | None = None
     kind = ""
+    start: tuple = ()
     starts: dict[str, tuple[int, ...]] = {}
-    plain_start: tuple = ()
-    variant_start: tuple[Variant, ...] = ()
     terms: list[Term] = []
     digit_map: dict[Variant, tuple[Variant, ...]] = {}
     pair_map: dict[tuple[int, int], tuple[int, int]] = {}
     productions: dict[str, list] = {}
+    # where each wholecurve state is declared, and where each atom names one
+    declared: dict[str, tuple[int, int]] = {}
+    references: list[tuple[str, str, int, int]] = []
     current_state: str | None = None
     output_state: str | None = None
+    output_at = (1, 1)
     post: PostTransform | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -192,6 +219,11 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
         col = line.find(head) + 1
         arg = line[line.find(head) + len(head):].strip()
         arg_col = line.find(arg) + 1 if arg else col
+        if head in _KIND_DIRECTIVES:
+            if not kind:
+                raise ParseError(f"{head!r} before the kind line", line_no, col)
+            if head not in _READS[kind]:
+                raise ParseError(f"a {kind} rule does not read {head!r}", line_no, col)
 
         if head == "name":
             name = arg
@@ -208,7 +240,9 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no, arg_col) from None
         elif head == "kind":
-            if arg not in ("edgewise", "digitwise", "wholecurve", "pairlift"):
+            if kind:
+                raise ParseError("a second kind line", line_no, col)
+            if arg not in _READS:
                 raise ParseError(f"unknown kind {arg!r}", line_no, arg_col)
             kind = arg
         elif head == "start":
@@ -218,17 +252,24 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
                     raise ParseError("wholecurve start needs a state and a sequence", line_no, arg_col)
                 starts[parts[0]] = _parse_int_list(parts[1], line_no, arg_col)
             elif kind == "digitwise":
-                variant_start = _parse_variant_list(arg, line_no, arg_col)
+                start = _parse_variant_list(arg, line_no, arg_col)
             else:
-                plain_start = _parse_int_list(arg, line_no, arg_col)
+                start = _parse_int_list(arg, line_no, arg_col)
         elif head == "term":
-            terms.append(_parse_term(arg, line_no, arg_col))
+            term = _parse_term(arg, line_no, arg_col)
+            if terms and term.perm.n != terms[0].perm.n:
+                raise ParseError("all terms must share one dimension", line_no, arg_col)
+            terms.append(term)
         elif head == "digit":
             if "->" not in arg:
                 raise ParseError("digit rule needs '->'", line_no, arg_col)
             lhs, rhs = (part.strip() for part in arg.split("->", 1))
             v = _parse_variant(lhs, line_no, arg_col)
-            digit_map[v] = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs))
+            image = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs))
+            neg = (-v[0], v[1])
+            if neg in digit_map and digit_map[neg] != tuple((-x, m) for x, m in image):
+                raise ParseError(f"digit rule breaks T(-x) = -T(x) at {v}", line_no, arg_col)
+            digit_map[v] = image
         elif head == "pair":
             if "->" not in arg:
                 raise ParseError("pair rule needs '->'", line_no, arg_col)
@@ -241,6 +282,7 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
         elif head == "rule":
             current_state = arg
             productions.setdefault(current_state, [])
+            declared.setdefault(current_state, (line_no, arg_col))
         elif head == "atom":
             parts = arg.split(None, 1)
             if len(parts) != 2:
@@ -249,10 +291,7 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
             if target == "connector":
                 toks = payload.split(None, 1)
                 digit_col = arg_col + arg.find(payload)
-                try:
-                    digit = int(toks[0])
-                except ValueError:
-                    raise ParseError(f"bad connector digit {toks[0]!r}", line_no, digit_col) from None
+                digit = _int(toks[0], "connector digit", line_no, digit_col)
                 if digit == 0:
                     raise ParseError("0 is not a digit", line_no, digit_col)
                 if len(toks) == 1:
@@ -266,9 +305,13 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
             if current_state is None:
                 # single-state systems may omit `rule`; synthesize one state
                 current_state = "S"
+                declared[current_state] = (line_no, col)
+            if isinstance(atom, StateAtom):
+                references.append((current_state, target, line_no, arg_col))
             productions.setdefault(current_state, []).append(atom)
         elif head == "output":
             output_state = arg
+            output_at = (line_no, arg_col)
         elif head == "post":
             post = _parse_perm_power(PostTransform, arg, "post transform", line_no, arg_col)
         else:
@@ -282,35 +325,36 @@ def parse_rule_file(text: str) -> ParsedRuleFile:
     if kind == "edgewise":
         if not terms:
             raise ParseError("edgewise rule has no terms", 1, 1)
-        system = SubstitutionSystem(
-            kind="edgewise", digiset=digiset, rule=EdgewiseRule(tuple(terms)), start=plain_start,
-            post=post, name=name,
-        )
+        rule = EdgewiseRule(tuple(terms))
     elif kind == "digitwise":
         if not digit_map:
             raise ParseError("digitwise rule has no digit lines", 1, 1)
-        system = SubstitutionSystem(
-            kind="digitwise", digiset=digiset, rule=DigitRule(digit_map),
-            start=variant_start, post=post, name=name,
-        )
+        rule = DigitRule(digit_map)
     elif kind == "wholecurve":
+        for owner, state, line_no, col in references:
+            if state not in productions:
+                raise ParseError(f"production of {owner!r} references unknown state {state!r}", line_no, col)
         if output_state is None:
             output_state = next(iter(productions), None)
         if output_state is None:
             raise ParseError("wholecurve needs atoms", 1, 1)
+        if output_state not in productions:
+            raise ParseError(f"unknown output state {output_state!r}", *output_at)
+        for state, (line_no, col) in declared.items():
+            if state not in starts:
+                raise ParseError(f"state {state!r} has no start sequence", line_no, col)
         rule = WholeCurveRule(
             productions={s: tuple(a) for s, a in productions.items()},
             starts=starts,
             output_state=output_state,
             normalizer=post,
         )
-        system = SubstitutionSystem(
-            kind="wholecurve", digiset=digiset, rule=rule, start_level=1, name=name,
-        )
+        # a wholecurve's post is its read-out normalizer, not a per-step relabeling
+        post = None
     else:  # pairlift
         if not pair_map:
             raise ParseError("pairlift needs pair lines", 1, 1)
-        system = SubstitutionSystem(
-            kind="pairlift", digiset=digiset, rule=PairRule(pair_map), start=plain_start, name=name,
-        )
-    return ParsedRuleFile(name=name or "unnamed", system=system)
+        if not start:
+            raise ParseError("pairlift needs a start", 1, 1)
+        rule = PairRule(pair_map)
+    return SubstitutionSystem(digiset=digiset, rule=rule, start=start, post=post, name=name)

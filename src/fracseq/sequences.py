@@ -84,9 +84,6 @@ def seq(items: Iterable[int], digiset: Digiset = UNBOUNDED) -> SignedSequence:
     return SignedSequence(tuple(items), digiset)
 
 
-EMPTY = SignedSequence((), UNBOUNDED)
-
-
 def concat(a: SignedSequence, b: SignedSequence) -> SignedSequence:
     """Concatenate two sequences over the same digiset.
 

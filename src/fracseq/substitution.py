@@ -1,7 +1,9 @@
 """Substitution systems and the two kernels that expand them.
 
 A curve grows in one of two ways (Allouche & Shallit, *Automatic
-Sequences*, 2003, ch. 6-7), and every rule kind runs on one kernel:
+Sequences*, 2003, ch. 6-7), and every rule kind runs on one kernel.  A
+system's kind is its rule's type: ``EdgewiseRule``, ``DigitRule``,
+``WholeCurveRule`` and ``PairRule`` each name theirs once.
 
 * The morphism kernel rewrites each token in place.  Per level it builds
   one image table from token to image tuple, with the level's alternating
@@ -30,10 +32,11 @@ edge.  The kernel that runs the digits carries it in the same order.
 Both kernels compute the next level's length before building it and refuse
 a level over ``max_items``, which ends the stream.
 
-Levels count applications from the system's start (`start_level` names the
-level of the start itself).  Alternating signs, connector powers and
-normalizers take the level as argument so that curves stay normalized and
-extending where the catalog requires it.
+Levels count applications from the system's start.  `start_level` names
+the level of the start itself: 1 for a wholecurve rule, whose starts are
+the first approximants, and 0 for every other rule.  Alternating signs,
+connector powers and normalizers take the level as argument so that
+curves stay normalized and extending where the catalog requires it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, islice, pairwise
-from typing import Callable, Iterator, Mapping
+from typing import Callable, ClassVar, Iterator, Mapping
 
 from .perms import SignedPermutation, apply_items, compose, identity, power
 from .sequences import Digiset, SignedSequence
@@ -139,6 +142,7 @@ class Term:
 class EdgewiseRule:
     """Expansion of the base edge <1> as an ordered term list."""
 
+    kind: ClassVar[str] = "edgewise"
     terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
@@ -168,6 +172,7 @@ class DigitRule:
     T(-v) = -T(v) whenever both signs are present.
     """
 
+    kind: ClassVar[str] = "digitwise"
     mapping: Mapping[Variant, tuple[Variant, ...]]
     default: Callable[[int], tuple[Variant, ...]] | None = None
     strict_negation: bool = True
@@ -241,6 +246,7 @@ Atom = StateAtom | ConnectorAtom
 class WholeCurveRule:
     """Multi-state production system with optional read-out normalizer."""
 
+    kind: ClassVar[str] = "wholecurve"
     productions: Mapping[str, tuple[Atom, ...]]
     starts: Mapping[str, tuple[int, ...]]
     output_state: str
@@ -286,6 +292,7 @@ class PairRule:
     """Overlapping-pair re-coding: each edge, read with its successor as
     context, emits a fixed pair of lifted digits."""
 
+    kind: ClassVar[str] = "pairlift"
     mapping: Mapping[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self) -> None:
@@ -328,27 +335,34 @@ def _lift(rule: PairRule, items: tuple[int, ...], closed: bool = False) -> tuple
 class SubstitutionSystem:
     """A rule bundled with its digiset and start data.
 
+    The rule's type fixes the system's ``kind`` and ``start_level``: a
+    wholecurve rule's starts are level 1, every other start is level 0.
     ``start`` is a digit tuple for edgewise systems and a variant tuple for
     digitwise ones; wholecurve systems keep their starts inside the rule.
     ``post`` (optional) is applied to the state right after each
     application, evaluated at the level just produced.
     """
 
-    kind: str
     digiset: Digiset
     rule: EdgewiseRule | DigitRule | WholeCurveRule | PairRule
     start: tuple = ()
     post: PostTransform | None = None
     base: "SubstitutionSystem | None" = None
-    start_level: int = 0
     name: str = ""
 
     def __post_init__(self) -> None:
-        kinds = ("edgewise", "digitwise", "wholecurve", "pairlift")
-        if self.kind not in kinds:
-            raise RuleError(f"kind must be one of {kinds}")
+        if not isinstance(self.rule, (EdgewiseRule, DigitRule, WholeCurveRule, PairRule)):
+            raise RuleError(f"not a substitution rule: {self.rule!r}")
         if self.kind == "pairlift" and self.base is None and not self.start:
             raise RuleError("pairlift needs a base system or an explicit start")
+
+    @property
+    def kind(self) -> str:
+        return self.rule.kind
+
+    @property
+    def start_level(self) -> int:
+        return 1 if isinstance(self.rule, WholeCurveRule) else 0
 
 
 ITEM_CAP = 10**7
@@ -549,7 +563,4 @@ def is_expansive(sys_: SubstitutionSystem) -> bool:
         if rule.default is not None:
             lengths += [len(rule.image((x, 0))) for x in (1, 2, 3, -1, -2, -3)]
         return bool(lengths) and min(lengths) >= 2
-    if sys_.kind == "wholecurve":
-        rule: WholeCurveRule = sys_.rule
-        return all(len(atoms) >= 2 for atoms in rule.productions.values())
-    return False
+    return all(len(atoms) >= 2 for atoms in sys_.rule.productions.values())

@@ -57,7 +57,7 @@ PKG_ROOT = Path(__file__).resolve().parent.parent
 
 def _one_step(rule, s):
     """One iterate step of an edgewise rule from start ``s``."""
-    return iterate(SubstitutionSystem(kind="edgewise", digiset=s.digiset, rule=rule, start=s.items), 1)
+    return iterate(SubstitutionSystem(digiset=s.digiset, rule=rule, start=s.items), 1)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

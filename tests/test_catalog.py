@@ -273,3 +273,14 @@ def test_unknown_check_fails_in_the_report(monkeypatch):
     results = {c.name: (c.passed, c.detail) for c in verify_entry("box4").checks}
     assert results["extending"] == (True, "")
     assert results["no-such-check"] == (False, "unknown check")
+
+
+def test_entry_digiset_is_its_system_digiset():
+    sizes = {e.id: e.digiset.size for e in catalog_entries()}
+    assert sizes == {
+        "dekking-flowsnake": 2, "mandelbrot-flowsnake": 2, "mandelbrot-island": 2, "box4": 2,
+        "arndt-peano": 2, "arndt-peano-truncated": 4, "v1-dragon-8roots": 4, "v1-dragon-sqdiag": 4,
+        "hilbert-original": 2, "hilbert-3d-origin": 3, "hilbert-4d-origin": 4, "gray": None,
+        "hilbert-4d-nonorigin": 4, "hilbert-3d-nonorigin": 3, "beta-omega": 2,
+    }
+    assert all(e.digiset is e.system.digiset for e in catalog_entries())

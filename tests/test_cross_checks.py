@@ -30,7 +30,7 @@ def expand_digitwise(rule, stream):
     """One digitwise level from a variant start: the rule's images of the
     variants, whose digits one ``iterate`` step must reproduce."""
     variants = tuple(chain.from_iterable(map(rule.image, stream)))
-    sys_ = SubstitutionSystem(kind="digitwise", digiset=Digiset(None), rule=rule, start=stream)
+    sys_ = SubstitutionSystem(digiset=Digiset(None), rule=rule, start=stream)
     assert iterate(sys_, 1).items == project(variants)
     return variants
 
@@ -54,7 +54,7 @@ def test_v1_dragon_base_change():
     rule = EdgewiseRule((Term(SignedPermutation((1, 2, 3, 4))),
                          Term(power(mu, 2), reverse=True),
                          Term(power(mu, 3))))
-    original = SubstitutionSystem(kind="edgewise", digiset=Digiset(4), rule=rule, start=(1,))
+    original = SubstitutionSystem(digiset=Digiset(4), rule=rule, start=(1,))
     raw = iterate(original, 4)
     assert raw.items[:4] == (1, 3, 4, -2)
     assert normalize(raw).items == iterate(v1_dragon_system(), 4).items

@@ -121,7 +121,7 @@ def reference(sys_, k):
 
 
 def _rule(text):
-    return parse_rule_file(text).system
+    return parse_rule_file(text)
 
 
 ALT_MORPHISM = """\
@@ -185,12 +185,31 @@ atom connector 1 [2,1]^k
 atom H -[2,1]*R
 """
 
+# a wholecurve's post is its read-out normalizer, applied to the output state only
+POST_WHOLECURVE = """\
+digiset 2
+kind wholecurve
+start H 1,2,-1
+start G 2,1,-2
+rule H
+atom G [2,1]
+atom connector 1
+atom H [1,2]
+rule G
+atom H [2,1]
+atom connector 2 [2,1]^k
+atom G -[1,2]*R
+output H
+post [-1,2]^k+1
+"""
+
 SMALL_RULES = {
     "alt-morphism": ALT_MORPHISM,
     "alt-production": ALT_PRODUCTION,
     "post-edgewise": POST_EDGEWISE,
     "post-production": POST_PRODUCTION,
     "post-digitwise": POST_DIGITWISE,
+    "post-wholecurve": POST_WHOLECURVE,
     "length-morphism": LENGTH_MORPHISM,
     "length-reverse": LENGTH_REVERSE,
     "length-wholecurve": LENGTH_WHOLECURVE,

@@ -5,6 +5,7 @@ import pytest
 
 from fracseq.catalog import (
     arndt_peano_system,
+    arndt_truncated_system,
     beta_omega_state_system,
     beta_omega_system,
     box4_system,
@@ -44,14 +45,14 @@ ARNDT_RULE = arndt_peano_system().rule
 
 def expand_edgewise(rule, s):
     """One iterate step of an edgewise rule from start ``s``."""
-    return iterate(SubstitutionSystem(kind="edgewise", digiset=s.digiset, rule=rule, start=s.items), 1)
+    return iterate(SubstitutionSystem(digiset=s.digiset, rule=rule, start=s.items), 1)
 
 
 def expand_digitwise(rule, stream):
     """One digitwise level from a variant start: the rule's images of the
     variants, whose digits one ``iterate`` step must reproduce."""
     variants = tuple(chain.from_iterable(map(rule.image, stream)))
-    sys_ = SubstitutionSystem(kind="digitwise", digiset=Digiset(None), rule=rule, start=stream)
+    sys_ = SubstitutionSystem(digiset=Digiset(None), rule=rule, start=stream)
     assert iterate(sys_, 1).items == project(variants)
     return variants
 
@@ -217,3 +218,25 @@ def test_gray_t1_t2_agree():
     n = min(len(a), len(b))
     assert a.items[:n] == b.items[:n]
     assert a.items[:n] == gray_sequence(9).items[:n][:n]
+
+
+def test_kind_and_start_level_come_from_the_rule_type():
+    cases = (
+        (arndt_peano_system(), "edgewise", 0),
+        (hilbert_digit_system(), "digitwise", 0),
+        (hilbert_original_system(), "wholecurve", 1),
+        (arndt_truncated_system(), "pairlift", 0),
+    )
+    for sys_, kind, start_level in cases:
+        assert (sys_.kind, sys_.rule.kind, sys_.start_level) == (kind, kind, start_level)
+    # neither can be given, so neither can disagree with the rule
+    with pytest.raises(TypeError):
+        SubstitutionSystem(kind="digitwise", digiset=Digiset(2), rule=ARNDT_RULE, start=(1,))
+    with pytest.raises(TypeError):
+        SubstitutionSystem(digiset=Digiset(2), rule=hilbert_original_system().rule, start_level=0)
+
+
+def test_system_needs_a_substitution_rule():
+    for rule in ("edgewise", ARNDT_RULE.terms, TRUNCATED_SQUARE_PAIRS.mapping):
+        with pytest.raises(RuleError, match="not a substitution rule"):
+            SubstitutionSystem(digiset=Digiset(2), rule=rule, start=(1,))
