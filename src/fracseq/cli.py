@@ -130,7 +130,7 @@ def _cmd_rule_check(args) -> int:
     print(f"expansive: {'yes' if expansive else 'NO'}")
     if sys_.kind in ("edgewise", "digitwise") and sys_.digiset.size == 2:
         commuting = [name for name in ("mu", "tau_x", "tau_y", "tau_d")
-                     if check_commutation(sys_.rule, named_perm(name, 2), sys_.digiset)]
+                     if check_commutation(sys_.rule, named_perm(name, 2))]
         print("commutes with: " + (", ".join(commuting) if commuting else "none of mu, tau_x, tau_y, tau_d"))
     if sys_.start or sys_.kind == "wholecurve":
         # a pairlift read from a rule file has only its start level

@@ -536,8 +536,12 @@ class CoverageReport:
     missed: tuple[tuple, ...]
 
 
-def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...], missed_cap: int = 32) -> CoverageReport:
-    """Which integer lattice points of the box [lo, hi] does the polyline visit?"""
+MISSED_CAP = 32
+
+
+def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...]) -> CoverageReport:
+    """Which integer lattice points of the box [lo, hi] does the polyline visit?
+    ``missed`` lists the first ``MISSED_CAP`` unvisited ones."""
     dim = p.dim
     if len(lo) != dim or len(hi) != dim:
         raise GridError("box dimension mismatch")
@@ -550,9 +554,9 @@ def coverage_report(p: Polyline, lo: tuple[int, ...], hi: tuple[int, ...], misse
         total *= h - l + 1
     visited = len(counts)
     missed: tuple[tuple, ...] = ()
-    if visited < total and missed_cap > 0:
+    if visited < total:
         box = product(*(range(l, h + 1) for l, h in zip(lo, hi)))  # lexicographic
-        missed = tuple(islice((v for v in box if v not in counts), missed_cap))
+        missed = tuple(islice((v for v in box if v not in counts), MISSED_CAP))
     return CoverageReport(
         total=total,
         visited=visited,

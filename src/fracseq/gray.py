@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .perms import SignedPermutation, PermError
 from .sequences import Digiset, SignedSequence, UNBOUNDED, fold
@@ -114,39 +115,44 @@ class HilbertTableRow:
 class HilbertSpec:
     """Perm tables for one hyper-orthogonal Hilbert construction.
 
-    ``tables`` maps the two state names to their row lists; ``entry_edges``
-    are the level-1 entry edges used only for the closure check (states are
-    stored and iterated without their entry edge).
+    ``tables`` maps the two state names to their row lists.  ``d`` is the
+    perm size of the rows.  Each state's entry and exit edges are the first
+    and last edges of its ``gray_extended`` curve; states are stored and
+    iterated without their entry edge.
     """
 
-    d: int
     entry_class: str  # "origin" | "non-origin"
     tables: dict[str, tuple[HilbertTableRow, ...]]
-    entry_edges: dict[str, int]
     normalizer_perm: SignedPermutation
     output_state: str
 
-    def row_type(self, row: HilbertTableRow) -> int:
-        """2 when the block's exit edge is its orientation, else 1.
+    @property
+    def d(self) -> int:
+        return next(iter(self.tables.values()))[0].perm.n
 
-        Derived from the exit-edge column: a type-2 block is an image of
-        the type-2 extension (exit edge sigma(d)), a type-1 block of the
-        type-1 extension (exit edge -sigma(d-1)).
-        """
-        if row.perm.of_digit(self.d) == row.exit_edge:
-            return 2
-        if -row.perm.of_digit(self.d - 1) == row.exit_edge:
-            return 1
+    def row_type(self, row: HilbertTableRow) -> int:
+        """2 when the block's exit edge is its orientation, else 1."""
+        return 1 if self.row_state(row) == TYPE1_STATE else 2
+
+    def row_state(self, row: HilbertTableRow) -> str:
+        """The state whose extension's exit edge (sigma(d) for type 2,
+        -sigma(d-1) for type 1) the row's perm maps onto the row's exit edge."""
+        for name in (TYPE1_STATE, TYPE2_STATE):
+            if row.perm.of_digit(_extension(self.d, name)[-1]) == row.exit_edge:
+                return name
         raise PermError(
             f"row {row.perm} with exit {row.exit_edge} matches neither extension type"
         )
 
-    def row_state(self, row: HilbertTableRow) -> str:
-        return TYPE1_STATE if self.row_type(row) == 1 else TYPE2_STATE
-
 
 TYPE1_STATE = "H'"
 TYPE2_STATE = "H''"
+
+
+@cache
+def _extension(d: int, state: str) -> tuple[int, ...]:
+    """The state's extended Gray curve: entry edge, G(d), exit edge."""
+    return gray_extended(d, 1 if state == TYPE1_STATE else 2).items
 
 
 def _rows(data) -> tuple[HilbertTableRow, ...]:
@@ -155,7 +161,6 @@ def _rows(data) -> tuple[HilbertTableRow, ...]:
 
 HILBERT_SPECS: dict[str, HilbertSpec] = {
     "3d-origin": HilbertSpec(
-        d=3,
         entry_class="origin",
         tables={
             TYPE1_STATE: _rows([
@@ -167,12 +172,10 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
                 ((-2, -1, 3), 1), ((-3, 1, -2), -2), ((-3, 1, -2), -1), ((2, -3, -1), 3),
             ]),
         },
-        entry_edges={TYPE1_STATE: 3, TYPE2_STATE: 2},
         normalizer_perm=SignedPermutation((3, 2, 1)),
         output_state=TYPE2_STATE,
     ),
     "3d-nonorigin": HilbertSpec(
-        d=3,
         entry_class="non-origin",
         tables={
             TYPE1_STATE: _rows([
@@ -184,12 +187,10 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
                 ((2, 3, 1), 1), ((3, 2, 1), -2), ((3, -2, -1), -1), ((-2, -1, 3), 3),
             ]),
         },
-        entry_edges={TYPE1_STATE: 3, TYPE2_STATE: 2},
         normalizer_perm=SignedPermutation((-2, -1, 3)),
         output_state=TYPE1_STATE,
     ),
     "4d-origin": HilbertSpec(
-        d=4,
         entry_class="origin",
         tables={
             TYPE1_STATE: _rows([
@@ -205,12 +206,10 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
                 ((-4, -2, -1, -3), 1), ((-4, 3, 1, -2), -2), ((3, -4, 1, -2), -1), ((3, 2, -4, -1), 4),
             ]),
         },
-        entry_edges={TYPE1_STATE: 4, TYPE2_STATE: 3},
         normalizer_perm=SignedPermutation((4, 2, 3, 1)),
         output_state=TYPE2_STATE,
     ),
     "4d-nonorigin": HilbertSpec(
-        d=4,
         entry_class="non-origin",
         tables={
             TYPE1_STATE: _rows([
@@ -229,7 +228,6 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
                 ((4, 2, -3, 1), 1), ((4, -3, 2, 1), -2), ((-3, 4, -2, -1), -1), ((-3, -2, -1, 4), 4),
             ]),
         },
-        entry_edges={TYPE1_STATE: 4, TYPE2_STATE: 3},
         normalizer_perm=SignedPermutation((-3, -2, -1, 4)),
         output_state=TYPE1_STATE,
     ),
@@ -244,29 +242,22 @@ def validate_hilbert_spec(spec: HilbertSpec) -> None:
     block's exit edge equals the entry edge of the block after it.
     """
     d = spec.d
-    gray = gray_sequence(d).items
-    exits = {TYPE1_STATE: -(d - 1), TYPE2_STATE: d}
+    ext = {name: _extension(d, name) for name in spec.tables}
     for name, rows in spec.tables.items():
         if len(rows) != 2**d:
             raise PermError(f"{name} table must have {2**d} rows, got {len(rows)}")
         col = tuple(r.exit_edge for r in rows)
-        if col[:-1] != gray:
+        if col[:-1] != ext[name][1:-1]:
             raise PermError(f"{name} exit-edge column does not spell the connecting Gray curve")
-        if col[-1] != exits[name]:
-            raise PermError(f"{name} last exit edge must be {exits[name]}")
-        for r in rows:
-            ref = spec.row_state(r)
-            if r.perm.of_digit(exits[ref]) != r.exit_edge:
-                raise PermError(f"row {r.perm} exit edge inconsistent with its type")
+        if col[-1] != ext[name][-1]:
+            raise PermError(f"{name} last exit edge must be {ext[name][-1]}")
+        entries = [r.perm.of_digit(_extension(d, spec.row_state(r))[0]) for r in rows]
         for i in range(len(rows) - 1):
-            cur, nxt = rows[i], rows[i + 1]
-            entry_next = nxt.perm.of_digit(spec.entry_edges[spec.row_state(nxt)])
-            if cur.exit_edge != entry_next:
+            if rows[i].exit_edge != entries[i + 1]:
                 raise PermError(
-                    f"{name} blocks {i} and {i + 1} do not glue: exit {cur.exit_edge} vs entry {entry_next}"
+                    f"{name} blocks {i} and {i + 1} do not glue: exit {rows[i].exit_edge} vs entry {entries[i + 1]}"
                 )
-        first = rows[0]
-        if first.perm.of_digit(spec.entry_edges[spec.row_state(first)]) != spec.entry_edges[name]:
+        if entries[0] != ext[name][0]:
             raise PermError(f"{name} entry edge is not preserved by its first block")
 
 
@@ -277,12 +268,7 @@ def hilbert_system(spec: HilbertSpec) -> SubstitutionSystem:
     production step is a plain concatenation of the transformed blocks.
     """
     validate_hilbert_spec(spec)
-    d = spec.d
-    g = gray_sequence(d).items
-    starts = {
-        TYPE1_STATE: g + (-(d - 1),),
-        TYPE2_STATE: g + (d,),
-    }
+    starts = {name: _extension(spec.d, name)[1:] for name in (TYPE1_STATE, TYPE2_STATE)}
     productions = {
         name: tuple(StateAtom(spec.row_state(r), Term(r.perm)) for r in rows)
         for name, rows in spec.tables.items()
@@ -294,7 +280,7 @@ def hilbert_system(spec: HilbertSpec) -> SubstitutionSystem:
         normalizer=PostTransform(spec.normalizer_perm, "k+1"),
     )
     return SubstitutionSystem(
-        digiset=Digiset(d),
+        digiset=Digiset(spec.d),
         rule=rule,
         name=f"hilbert-{spec.d}d-{spec.entry_class}",
     )

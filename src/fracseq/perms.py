@@ -203,11 +203,14 @@ def named_perm(name: str, n: int, positive_only: bool = False) -> SignedPermutat
     raise PermError(f"unknown perm name {name!r}")
 
 
-def generate_group(gens, max_size: int = 10**6) -> frozenset[SignedPermutation]:
+GROUP_CAP = 10**6
+
+
+def generate_group(gens) -> frozenset[SignedPermutation]:
     """Closure of the generators under composition and inversion.
 
     Breadth-first over one-line vectors, so enumeration order is
-    deterministic.  Raises if the closure exceeds ``max_size``.
+    deterministic.  Raises if the closure exceeds ``GROUP_CAP`` elements.
     """
     gens = list(gens)
     if not gens:
@@ -227,8 +230,8 @@ def generate_group(gens, max_size: int = 10**6) -> frozenset[SignedPermutation]:
             for g in gens:
                 q = compose(g, h)
                 if q.images not in seen:
-                    if len(seen) >= max_size:
-                        raise PermError(f"group closure exceeded {max_size} elements")
+                    if len(seen) >= GROUP_CAP:
+                        raise PermError(f"group closure exceeded {GROUP_CAP} elements")
                     seen[q.images] = q
                     nxt.append(q)
         frontier = nxt

@@ -21,30 +21,30 @@ PROJECTIONS = ("2d", "iso", "ortho")
 _COS30 = 0.8660254037844387
 _SIN30 = 0.5
 
+SCALE = 20.0  # screen units per grid unit
+MARGIN = 10.0
+STROKE_WIDTH = 1.0
+
 
 @dataclass(frozen=True)
 class RenderOptions:
-    stroke_width: float = 1.0
+    """What an SVG may vary: rounded corners and the projection.  Scale,
+    margin and stroke width are the module constants above."""
+
     rounded_corners: bool = False
-    scale: float = 20.0
-    margin: float = 10.0
     projection: str = "2d"
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise RenderError("scale must be positive")
         if self.projection not in PROJECTIONS:
             raise RenderError(f"projection must be one of {PROJECTIONS}")
 
 
 def _project(vertices: list[tuple[float, ...]], projection: str) -> list[tuple[float, float]]:
     dim = len(vertices[0])
-    if dim == 2 and projection in ("2d", "ortho"):
+    if (dim, projection) in ((2, "2d"), (2, "ortho"), (3, "ortho")):
         return [(v[0], v[1]) for v in vertices]
-    if dim == 3 and projection == "iso":
+    if (dim, projection) == (3, "iso"):
         return [((v[0] - v[1]) * _COS30, v[2] + (v[0] + v[1]) * _SIN30) for v in vertices]
-    if dim == 3 and projection == "ortho":
-        return [(v[0], v[1]) for v in vertices]
     raise RenderError(f"cannot render dimension {dim} with projection {projection!r}")
 
 
@@ -64,14 +64,14 @@ def svg_export(p: Polyline, opts: RenderOptions = RenderOptions()) -> bytes:
     ys = [y for _, y in pts]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    w = (maxx - minx) * opts.scale + 2 * opts.margin
-    h = (maxy - miny) * opts.scale + 2 * opts.margin
+    w = (maxx - minx) * SCALE + 2 * MARGIN
+    h = (maxy - miny) * SCALE + 2 * MARGIN
 
     def to_screen(pt):
         x, y = pt
         return (
-            (x - minx) * opts.scale + opts.margin,
-            h - ((y - miny) * opts.scale + opts.margin),  # y up
+            (x - minx) * SCALE + MARGIN,
+            h - ((y - miny) * SCALE + MARGIN),  # y up
         )
 
     screen = [to_screen(pt) for pt in pts]
@@ -80,7 +80,7 @@ def svg_export(p: Polyline, opts: RenderOptions = RenderOptions()) -> bytes:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" height="{_fmt(h)}" '
         f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        f'<path d="{d}" fill="none" stroke="black" stroke-width="{_fmt(opts.stroke_width)}"/>',
+        f'<path d="{d}" fill="none" stroke="black" stroke-width="{_fmt(STROKE_WIDTH)}"/>',
         "</svg>",
         "",
     ]
@@ -88,27 +88,22 @@ def svg_export(p: Polyline, opts: RenderOptions = RenderOptions()) -> bytes:
 
 
 def _path_data(pts: list[tuple[float, float]], rounded: bool) -> str:
-    if len(pts) == 1:
-        return f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])}"
-    if not rounded:
-        parts = [f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])}"]
-        parts.extend(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
-        return " ".join(parts)
+    """``M`` to the first point, then ``L p`` for each later point, or
+    ``L pin Q p pout`` at a rounded corner between two nonzero edges."""
     parts = [f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])}"]
-    for i in range(1, len(pts) - 1):
-        prev, cur, nxt = pts[i - 1], pts[i], pts[i + 1]
-        lin = _dist(prev, cur)
-        lout = _dist(cur, nxt)
-        cut = 0.25 * min(lin, lout)
-        if lin == 0 or lout == 0:
-            parts.append(f"L {_fmt(cur[0])} {_fmt(cur[1])}")
-            continue
-        pin = _lerp(cur, prev, cut / lin)
-        pout = _lerp(cur, nxt, cut / lout)
-        parts.append(f"L {_fmt(pin[0])} {_fmt(pin[1])}")
-        parts.append(f"Q {_fmt(cur[0])} {_fmt(cur[1])} {_fmt(pout[0])} {_fmt(pout[1])}")
-    last = pts[-1]
-    parts.append(f"L {_fmt(last[0])} {_fmt(last[1])}")
+    for i in range(1, len(pts)):
+        cur = pts[i]
+        if rounded and i + 1 < len(pts):
+            prev, nxt = pts[i - 1], pts[i + 1]
+            lin, lout = _dist(prev, cur), _dist(cur, nxt)
+            if lin and lout:
+                cut = 0.25 * min(lin, lout)
+                pin = _lerp(cur, prev, cut / lin)
+                pout = _lerp(cur, nxt, cut / lout)
+                parts.append(f"L {_fmt(pin[0])} {_fmt(pin[1])} "
+                             f"Q {_fmt(cur[0])} {_fmt(cur[1])} {_fmt(pout[0])} {_fmt(pout[1])}")
+                continue
+        parts.append(f"L {_fmt(cur[0])} {_fmt(cur[1])}")
     return " ".join(parts)
 
 

@@ -27,6 +27,14 @@ any other directive, and each kind reads only these:
 ``post`` relabels the curve after each step; in a wholecurve it is the
 rule's read-out normalizer instead.
 
+``name``, ``digiset``, ``kind``, ``output``, ``post`` and ``start`` each
+come at most once, except that a wholecurve states one ``start`` per
+state; a ``digit`` line comes once per variant and a ``pair`` line once
+per pair.  ``rule`` may reopen a state, and ``term`` and ``atom`` lines
+accumulate.  Under a bounded digiset every digit the file states (starts,
+both sides of ``digit`` and ``pair`` lines, connector digits) lies in it,
+and no term, atom, connector or post perm has a higher dimension.
+
 Terms: an optional leading ``-`` negates; ``~k`` or ``~k+1`` makes the
 sign alternate with the level; ``*R`` reverses; a trailing ``*sqrt2``,
 ``*sqrt2^E`` or ``*2`` scales the parallel length stream (powers of
@@ -34,9 +42,10 @@ sqrt2 only).  Variants carry apostrophes: ``1``, ``-2'``, ``1''``.
 
 Sequences are comma-separated signed integers, `<...>` brackets optional.
 Errors name the line and column of the offending token, including a
-directive the kind does not read and an ``atom``, ``rule``, ``output``,
-``term`` or ``digit`` line that the built system would reject.  A missing
-section is reported at line 1, column 1.
+directive the kind does not read or states twice, a digit or perm outside
+the digiset, and an ``atom``, ``rule``, ``output``, ``term`` or ``digit``
+line that the built system would reject.  A missing section is reported
+at line 1, column 1.
 """
 
 from __future__ import annotations
@@ -78,35 +87,45 @@ def _int(tok: str, what: str, line: int, col: int) -> int:
 _VARIANT_RE = re.compile(r"^(-?\d+)('*)$")
 
 
-def _parse_variant(tok: str, line: int, col: int) -> Variant:
+def _parse_variant(tok: str, line: int, col: int, stated: list) -> Variant:
     m = _VARIANT_RE.match(tok)
     digit = _int(m.group(1), "variant token", line, col) if m else 0
     if digit == 0:
         raise ParseError(f"bad variant token {tok!r}", line, col)
+    stated.append((abs(digit), f"digit {digit}", line, col))
     return (digit, len(m.group(2)))
 
 
-def _parse_int_list(text: str, line: int, col: int) -> tuple[int, ...]:
-    t = text.strip()
-    if t.startswith("<") and t.endswith(">"):
-        t = t[1:-1]
-    if not t:
+def _tokens(text: str, col: int) -> list[tuple[str, int]]:
+    """The comma-separated tokens of ``text``, which starts at column
+    ``col``, each with its own column; `<...>` brackets optional."""
+    body = text.strip()
+    at = col + text.find(body)
+    if body.startswith("<") and body.endswith(">"):
+        body, at = body[1:-1], at + 1
+    out = []
+    for tok in body.split(","):
+        out.append((tok.strip(), at + len(tok) - len(tok.lstrip())))
+        at += len(tok) + 1
+    return out
+
+
+def _parse_int_list(text: str, line: int, col: int, stated: list) -> tuple[int, ...]:
+    toks = _tokens(text, col)
+    if len(toks) == 1 and not toks[0][0]:
         return ()
     out = []
-    for tok in t.split(","):
-        tok = tok.strip()
-        v = _int(tok, "integer", line, col + text.find(tok))
+    for tok, tcol in toks:
+        v = _int(tok, "integer", line, tcol)
         if v == 0:
-            raise ParseError("0 is not a digit", line, col + text.find(tok))
+            raise ParseError("0 is not a digit", line, tcol)
+        stated.append((abs(v), f"digit {v}", line, tcol))
         out.append(v)
     return tuple(out)
 
 
-def _parse_variant_list(text: str, line: int, col: int) -> tuple[Variant, ...]:
-    t = text.strip()
-    if t.startswith("<") and t.endswith(">"):
-        t = t[1:-1]
-    return tuple(_parse_variant(tok.strip(), line, col + t.find(tok)) for tok in t.split(","))
+def _parse_variant_list(text: str, line: int, col: int, stated: list) -> tuple[Variant, ...]:
+    return tuple(_parse_variant(tok, line, tcol, stated) for tok, tcol in _tokens(text, col))
 
 
 def _parse_scale(tok: str, line: int, col: int) -> int:
@@ -191,6 +210,12 @@ _READS = {
     "pairlift": ("start", "pair"),
 }
 _KIND_DIRECTIVES = frozenset(d for reads in _READS.values() for d in reads)
+# directives a file states at most once; a wholecurve states one start per state
+_ONCE = frozenset({"name", "digiset", "kind", "output", "post"})
+
+
+def _perm_stated(stated: list, perm, line: int, col: int) -> None:
+    stated.append((perm.n, f"perm {perm} of dimension {perm.n}", line, col))
 
 
 def parse_rule_file(text: str) -> SubstitutionSystem:
@@ -210,6 +235,9 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
     output_state: str | None = None
     output_at = (1, 1)
     post: PostTransform | None = None
+    once: set[str] = set()
+    # (magnitude, what, line, column) of every digit and perm the file states
+    stated: list[tuple[int, str, int, int]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -224,6 +252,10 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
                 raise ParseError(f"{head!r} before the kind line", line_no, col)
             if head not in _READS[kind]:
                 raise ParseError(f"a {kind} rule does not read {head!r}", line_no, col)
+        if head in _ONCE or (head == "start" and kind != "wholecurve"):
+            if head in once:
+                raise ParseError(f"a second {head} line", line_no, col)
+            once.add(head)
 
         if head == "name":
             name = arg
@@ -240,8 +272,6 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no, arg_col) from None
         elif head == "kind":
-            if kind:
-                raise ParseError("a second kind line", line_no, col)
             if arg not in _READS:
                 raise ParseError(f"unknown kind {arg!r}", line_no, arg_col)
             kind = arg
@@ -250,22 +280,28 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
             if kind == "wholecurve":
                 if len(parts) != 2:
                     raise ParseError("wholecurve start needs a state and a sequence", line_no, arg_col)
-                starts[parts[0]] = _parse_int_list(parts[1], line_no, arg_col)
+                if parts[0] in starts:
+                    raise ParseError(f"a second start line for state {parts[0]!r}", line_no, arg_col)
+                seq_col = arg_col + arg.find(parts[1], len(parts[0]))
+                starts[parts[0]] = _parse_int_list(parts[1], line_no, seq_col, stated)
             elif kind == "digitwise":
-                start = _parse_variant_list(arg, line_no, arg_col)
+                start = _parse_variant_list(arg, line_no, arg_col, stated)
             else:
-                start = _parse_int_list(arg, line_no, arg_col)
+                start = _parse_int_list(arg, line_no, arg_col, stated)
         elif head == "term":
             term = _parse_term(arg, line_no, arg_col)
             if terms and term.perm.n != terms[0].perm.n:
                 raise ParseError("all terms must share one dimension", line_no, arg_col)
+            _perm_stated(stated, term.perm, line_no, arg_col)
             terms.append(term)
         elif head == "digit":
             if "->" not in arg:
                 raise ParseError("digit rule needs '->'", line_no, arg_col)
             lhs, rhs = (part.strip() for part in arg.split("->", 1))
-            v = _parse_variant(lhs, line_no, arg_col)
-            image = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs))
+            v = _parse_variant(lhs, line_no, arg_col, stated)
+            if v in digit_map:
+                raise ParseError(f"a second digit line for {lhs}", line_no, arg_col)
+            image = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs), stated)
             neg = (-v[0], v[1])
             if neg in digit_map and digit_map[neg] != tuple((-x, m) for x, m in image):
                 raise ParseError(f"digit rule breaks T(-x) = -T(x) at {v}", line_no, arg_col)
@@ -274,10 +310,12 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
             if "->" not in arg:
                 raise ParseError("pair rule needs '->'", line_no, arg_col)
             lhs, rhs = (part.strip() for part in arg.split("->", 1))
-            a = _parse_int_list(lhs, line_no, arg_col)
-            b = _parse_int_list(rhs, line_no, arg_col + arg.find(rhs))
+            a = _parse_int_list(lhs, line_no, arg_col, stated)
+            b = _parse_int_list(rhs, line_no, arg_col + arg.find(rhs), stated)
             if len(a) != 2 or len(b) != 2:
                 raise ParseError("pairs must have exactly two digits", line_no, arg_col)
+            if (a[0], a[1]) in pair_map:
+                raise ParseError(f"a second pair line for {lhs}", line_no, arg_col)
             pair_map[(a[0], a[1])] = (b[0], b[1])
         elif head == "rule":
             current_state = arg
@@ -294,14 +332,17 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
                 digit = _int(toks[0], "connector digit", line_no, digit_col)
                 if digit == 0:
                     raise ParseError("0 is not a digit", line_no, digit_col)
+                stated.append((abs(digit), f"digit {digit}", line_no, digit_col))
                 if len(toks) == 1:
                     atom = ConnectorAtom(digit)
                 else:
                     tcol = digit_col + payload.find(toks[1], len(toks[0]))
                     atom = _parse_perm_power(partial(ConnectorAtom, digit), toks[1], "connector transform",
                                              line_no, tcol)
+                    _perm_stated(stated, atom.perm, line_no, tcol)
             else:
                 atom = StateAtom(target, _parse_term(payload, line_no, arg_col))
+                _perm_stated(stated, atom.term.perm, line_no, arg_col)
             if current_state is None:
                 # single-state systems may omit `rule`; synthesize one state
                 current_state = "S"
@@ -314,6 +355,7 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
             output_at = (line_no, arg_col)
         elif head == "post":
             post = _parse_perm_power(PostTransform, arg, "post transform", line_no, arg_col)
+            _perm_stated(stated, post.perm, line_no, arg_col)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, col)
 
@@ -321,6 +363,10 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
         raise ParseError("missing digiset", 1, 1)
     if not kind:
         raise ParseError("missing kind", 1, 1)
+    if digiset.size is not None:
+        for size, what, line_no, col in stated:
+            if size > digiset.size:
+                raise ParseError(f"{what} outside digiset {digiset}", line_no, col)
 
     if kind == "edgewise":
         if not terms:

@@ -30,7 +30,7 @@ Terms with a ``scale_pow`` give a system a parallel length stream: each
 edge's length as an integer power of sqrt 2, starting at 0 on every start
 edge.  The kernel that runs the digits carries it in the same order.
 Both kernels compute the next level's length before building it and refuse
-a level over ``max_items``, which ends the stream.
+a level over ``ITEM_CAP`` items, which ends the stream.
 
 Levels count applications from the system's start.  `start_level` names
 the level of the start itself: 1 for a wholecurve rule, whose starts are
@@ -226,17 +226,7 @@ class ConnectorAtom:
     def value_at(self, level: int) -> int:
         if self.perm is None:
             return self.digit
-        e = _exponent_value(self.exponent, level)
-        return power(self.perm, e % _perm_order(self.perm)).of_digit(self.digit)
-
-
-def _perm_order(p: SignedPermutation, cap: int = 4096) -> int:
-    acc = p
-    for k in range(1, cap + 1):
-        if acc.images == identity(p.n).images:
-            return k
-        acc = compose(p, acc)
-    raise RuleError("perm order exceeds cap")
+        return power(self.perm, _exponent_value(self.exponent, level)).of_digit(self.digit)
 
 
 Atom = StateAtom | ConnectorAtom
@@ -368,13 +358,13 @@ class SubstitutionSystem:
 ITEM_CAP = 10**7
 
 
-def _refuse_over_cap(size: int, k: int, max_items: int) -> None:
+def _refuse_over_cap(size: int, k: int) -> None:
     """Raise before building the k-th application's output of ``size`` items."""
-    if size > max_items:
-        raise RuleError(f"item cap {max_items} exceeded at level {k}: it would have {size} items")
+    if size > ITEM_CAP:
+        raise RuleError(f"item cap {ITEM_CAP} exceeded at level {k}: it would have {size} items")
 
 
-def _morphism(sys_: SubstitutionSystem, max_items: int):
+def _morphism(sys_: SubstitutionSystem):
     """Morphism kernel: (digits, length stream or None) at levels 0, 1, ...
 
     Token counts give each level's length before the level is built; the
@@ -408,14 +398,14 @@ def _morphism(sys_: SubstitutionSystem, max_items: int):
         for v, c in counts.items():
             for w in table[v]:
                 nxt[w] += c
-        _refuse_over_cap(nxt.total(), level + 1 - sys_.start_level, max_items)
+        _refuse_over_cap(nxt.total(), level + 1 - sys_.start_level)
         stream = tuple(chain.from_iterable(map(table.__getitem__, stream)))
         if exps is not None:
             exps = tuple(e + s for e in exps for s in scales)
         counts = nxt
 
 
-def _production(sys_: SubstitutionSystem, max_items: int):
+def _production(sys_: SubstitutionSystem):
     """Production kernel: (read-out digits, length stream or None) at levels
     0, 1, ...  An edgewise rule runs as the single state ``""``."""
     if sys_.kind == "edgewise":
@@ -437,7 +427,7 @@ def _production(sys_: SubstitutionSystem, max_items: int):
             sum(len(states[a.state]) if isinstance(a, StateAtom) else 1 for a in atoms)
             for atoms in rule.productions.values()
         ]
-        _refuse_over_cap(max(sizes), level + 1 - sys_.start_level, max_items)
+        _refuse_over_cap(max(sizes), level + 1 - sys_.start_level)
         states = expand_wholecurve(rule, level, states)
         if sys_.post is not None:
             states = {name: sys_.post.apply_at(level + 1, items) for name, items in states.items()}
@@ -457,7 +447,7 @@ def _atom_lengths(a: Atom, exps: Mapping[str, tuple[int, ...]]) -> tuple[int, ..
     return tuple(e + a.term.scale_pow for e in src)
 
 
-def levels(sys_: SubstitutionSystem, max_items: int = ITEM_CAP) -> Iterator[tuple]:
+def levels(sys_: SubstitutionSystem) -> Iterator[tuple]:
     """The system's approximants as raw ``(digits, length exponents or None)``
     tuples for levels 0, 1, 2, ..., each built from the one before.
 
@@ -465,18 +455,18 @@ def levels(sys_: SubstitutionSystem, max_items: int = ITEM_CAP) -> Iterator[tupl
     morphism kernel, the rest on the production kernel; a pairlift lifts
     each level of its base system (or only its own start), and a level it
     cannot lift, one open edge without pair context, comes out as
-    ``(None, None)``.  A level over ``max_items`` raises ``RuleError``
+    ``(None, None)``.  A level over ``ITEM_CAP`` items raises ``RuleError``
     before it is built, which ends the stream.
     """
     if sys_.kind == "pairlift":
-        base = levels(sys_.base, max_items) if sys_.base is not None else _start_level_only(sys_)
+        base = levels(sys_.base) if sys_.base is not None else _start_level_only(sys_)
         for k, (items, _) in enumerate(base):
-            _refuse_over_cap(2 * len(items), k, max_items)
+            _refuse_over_cap(2 * len(items), k)
             yield _lift(sys_.rule, items), None
     elif sys_.kind == "digitwise" or (sys_.kind == "edgewise" and not sys_.rule.has_reverse):
-        yield from _morphism(sys_, max_items)
+        yield from _morphism(sys_)
     else:
-        yield from _production(sys_, max_items)
+        yield from _production(sys_)
 
 
 def _start_level_only(sys_: SubstitutionSystem):
@@ -490,32 +480,30 @@ def _read(items: tuple[int, ...] | None) -> tuple[int, ...]:
     return items
 
 
-def iterate(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> SignedSequence:
+def iterate(sys_: SubstitutionSystem, k: int) -> SignedSequence:
     """Apply the system k times to its start and read the result out.
 
     k = 0 returns the start itself (normalized read-out included for
     wholecurve systems).
     """
-    seq, _ = iterate_full(sys_, k, max_items)
+    seq, _ = iterate_full(sys_, k)
     return seq
 
 
-def iterate_full(
-    sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP
-) -> tuple[SignedSequence, tuple[int, ...] | None]:
+def iterate_full(sys_: SubstitutionSystem, k: int) -> tuple[SignedSequence, tuple[int, ...] | None]:
     """Like ``iterate`` but also returns the sqrt(2)-exponent length stream
     when a term of the system scales, else None: level k of ``levels``."""
     if k < 0:
         raise RuleError("level must be nonnegative")
-    items, exps = next(islice(levels(sys_, max_items), k, None))
+    items, exps = next(islice(levels(sys_), k, None))
     return SignedSequence(_read(items), sys_.digiset), exps
 
 
-def check_extending(sys_: SubstitutionSystem, k: int, max_items: int = ITEM_CAP) -> bool:
+def check_extending(sys_: SubstitutionSystem, k: int) -> bool:
     """True iff every approximant up to level k starts with the previous one."""
     if k < 1:
         raise RuleError("need k >= 1")
-    return extending(items for items, _ in islice(levels(sys_, max_items), k + 1))
+    return extending(items for items, _ in islice(levels(sys_), k + 1))
 
 
 def extending(approximants) -> bool:
@@ -523,12 +511,10 @@ def extending(approximants) -> bool:
     return all(cur[: len(prev)] == prev for prev, cur in pairwise(map(_read, approximants)))
 
 
-def check_commutation(rule, p: SignedPermutation, digiset: Digiset | None = None) -> bool:
-    """Does expanding commute with relabeling by ``p`` on every single digit?"""
+def check_commutation(rule, p: SignedPermutation) -> bool:
+    """Does expanding commute with relabeling by ``p`` on every digit +-1..+-p.n?"""
     if isinstance(rule, EdgewiseRule):
-        n = p.n
-        digits = range(1, (digiset.size if digiset and digiset.size else n) + 1)
-        for x in list(digits) + [-d for d in digits]:
+        for x in chain(range(1, p.n + 1), range(-1, -p.n - 1, -1)):
             expanded_then_mapped = apply_items(p, tuple(t.of_digit(x) for t in rule.terms))
             mapped_then_expanded = tuple(t.of_digit(p.of_digit(x)) for t in rule.terms)
             if expanded_then_mapped != mapped_then_expanded:

@@ -163,7 +163,7 @@ def test_c5_space_filling():
     hil = hilbert_original_system()
     for k in range(1, 9):
         p = trace(iterate(hil, k - 1), square_grid())
-        rep = coverage_report(p, (0, 0), (2**k - 1, 2**k - 1), missed_cap=0)
+        rep = coverage_report(p, (0, 0), (2**k - 1, 2**k - 1))
         assert rep.each_exactly_once, f"hilbert k={k}"
 
     arndt = arndt_peano_system()
@@ -188,7 +188,7 @@ def test_c5_space_filling():
         p = trace(SignedSequence(s.items[:-1], s.digiset), square_grid())
         lo = tuple(min(v[i] for v in p.vertices) for i in range(2))
         hi = tuple(max(v[i] for v in p.vertices) for i in range(2))
-        rep = coverage_report(p, lo, hi, missed_cap=0)
+        rep = coverage_report(p, lo, hi)
         assert rep.each_exactly_once and all(h - l + 1 == 2**k for l, h in zip(lo, hi)), f"beta k={k}"
     report("5 space filling: hilbert k<=8, arndt k<=5, beta-omega k<=6", True)
 
@@ -279,7 +279,7 @@ def test_c8_randomized_properties():
             Term(rng.choice(powers), sign=rng.choice((1, -1)))
             for _ in range(rng.randint(2, 5))))
         sigma = rng.choice(powers)
-        assert check_commutation(rule, sigma, Digiset(n))
+        assert check_commutation(rule, sigma)
         x = rng.choice((1, -1)) * rng.randint(1, n)
         s = SignedSequence((x,), Digiset(n))
         assert _one_step(rule, apply(sigma, s)) == apply(sigma, _one_step(rule, s))

@@ -83,7 +83,7 @@ def test_hilbert_cube_coverage_full_depth():
         p = trace(SignedSequence(s.items[:-1], s.digiset), cubic_grid(spec.d))
         lo = tuple(min(v[i] for v in p.vertices) for i in range(spec.d))
         hi = tuple(max(v[i] for v in p.vertices) for i in range(spec.d))
-        rep = coverage_report(p, lo, hi, missed_cap=0)
+        rep = coverage_report(p, lo, hi)
         assert rep.each_exactly_once, key
         assert all(h - l + 1 == side for l, h in zip(lo, hi)), key
 

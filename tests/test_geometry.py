@@ -293,15 +293,16 @@ def test_coverage_examples():
 
 def test_coverage_missed_listing():
     p = trace(SignedSequence((1,), Digiset(2)), square_grid())
-    rep = coverage_report(p, (0, 0), (1, 1), missed_cap=10)
+    rep = coverage_report(p, (0, 0), (1, 1))
     assert rep.visited == 2
     assert set(rep.missed) == {(0, 1), (1, 1)}
-    # missed points come in lexicographic order, at most missed_cap of them
+    # missed points come in lexicographic order, at most 32 of them
     assert rep.missed == ((0, 1), (1, 1))
-    big = coverage_report(p, (0, 0), (2, 2), missed_cap=3)
-    assert big.missed == ((0, 1), (0, 2), (1, 1))
-    assert coverage_report(p, (0, 0), (2, 2), missed_cap=0).missed == ()
     assert len(coverage_report(p, (0, 0), (2, 2)).missed) == 7
+    big = coverage_report(p, (0, 0), (5, 5))
+    assert (big.total, big.visited) == (36, 2)
+    assert big.missed[:7] == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2))
+    assert len(big.missed) == 32 and big.missed[-1] == (5, 3)
 
 
 # ------------------------------------------------------------- invariants

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fracseq import substitution
 from fracseq.catalog import (
     arndt_peano_system,
     arndt_truncated_system,
@@ -28,8 +29,22 @@ from fracseq.catalog import (
 from fracseq.cli import main
 from fracseq.gray import gray_t1_system, gray_t2_system
 from fracseq.perms import PermError, SignedPermutation
-from fracseq.rulefile import parse_rule_file
-from fracseq.substitution import ConnectorAtom, PostTransform, RuleError, iterate, iterate_full, levels
+from fracseq.rulefile import ParseError, parse_rule_file
+from fracseq.sequences import Digiset
+from fracseq.substitution import (
+    ConnectorAtom,
+    DigitRule,
+    EdgewiseRule,
+    PostTransform,
+    RuleError,
+    StateAtom,
+    SubstitutionSystem,
+    Term,
+    WholeCurveRule,
+    iterate,
+    iterate_full,
+    levels,
+)
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 
@@ -279,30 +294,73 @@ def test_length_streams_only_where_terms_scale():
         assert iterate_full(SYSTEMS[name], 2)[1] is None, name
 
 
+_P12, _P21, _P2M1 = SignedPermutation((1, 2)), SignedPermutation((2, 1)), SignedPermutation((2, -1))
+_D2 = Digiset(2)
+
+# each rule as a file, and the same system built without the parser
 OUTSIDE_ALPHABET = {
-    "morphism": "digiset 2\nkind edgewise\nstart 1,3\nterm [1,2]\nterm [2,-1]\n",
-    "edgewise-production": "digiset 2\nkind edgewise\nstart 3\nterm [1,2]\nterm [2,-1]*R\n",
-    "digitwise": "digiset 2\nkind digitwise\nstart 1''\ndigit 1 -> 1,2\ndigit 2 -> 2,1\n",
-    "wholecurve": "digiset 2\nkind wholecurve\nstart H 1,3\nrule H\natom H [1,2]\natom H [2,1]\n",
-    "connector": "digiset 2\nkind wholecurve\nstart H 1\nrule H\natom H [1,2]\natom connector 3\n",
+    "morphism": (
+        "digiset 2\nkind edgewise\nstart 1,3\nterm [1,2]\nterm [2,-1]\n",
+        SubstitutionSystem(_D2, EdgewiseRule((Term(_P12), Term(_P2M1))), start=(1, 3)),
+    ),
+    "edgewise-production": (
+        "digiset 2\nkind edgewise\nstart 3\nterm [1,2]\nterm [2,-1]*R\n",
+        SubstitutionSystem(_D2, EdgewiseRule((Term(_P12), Term(_P2M1, reverse=True))), start=(3,)),
+    ),
+    "digitwise": (
+        "digiset 2\nkind digitwise\nstart 1''\ndigit 1 -> 1,2\ndigit 2 -> 2,1\n",
+        SubstitutionSystem(_D2, DigitRule({(1, 0): ((1, 0), (2, 0)), (2, 0): ((2, 0), (1, 0))}), start=((1, 2),)),
+    ),
+    "wholecurve": (
+        "digiset 2\nkind wholecurve\nstart H 1,3\nrule H\natom H [1,2]\natom H [2,1]\n",
+        SubstitutionSystem(_D2, WholeCurveRule(
+            {"H": (StateAtom("H", Term(_P12)), StateAtom("H", Term(_P21)))}, {"H": (1, 3)}, "H")),
+    ),
+    "connector": (
+        "digiset 2\nkind wholecurve\nstart H 1\nrule H\natom H [1,2]\natom connector 3\n",
+        SubstitutionSystem(_D2, WholeCurveRule(
+            {"H": (StateAtom("H", Term(_P12)), ConnectorAtom(3))}, {"H": (1,)}, "H")),
+    ),
 }
+# where the parser finds the digit 3 outside D2; the digitwise start 1'' is
+# in D2 but has no image
+OUTSIDE_AT = {"morphism": (3, 9), "edgewise-production": (3, 7), "wholecurve": (3, 11), "connector": (6, 16)}
 
 
 @pytest.mark.parametrize("name", sorted(OUTSIDE_ALPHABET))
 def test_start_outside_alphabet_fails_cleanly(name, tmp_path, capsys):
-    text = OUTSIDE_ALPHABET[name]
+    text, sys_ = OUTSIDE_ALPHABET[name]
     with pytest.raises((RuleError, PermError)):
-        iterate(_rule(text), 2)
+        iterate(sys_, 2)
     path = tmp_path / "bad.rules"
     path.write_text(text)
     assert main(["rule", "check", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    if name in OUTSIDE_AT:
+        line, col = OUTSIDE_AT[name]
+        assert (out, err) == ("", f"error: line {line}, column {col}: digit 3 outside digiset D2\n")
+        with pytest.raises(ParseError) as exc:
+            parse_rule_file(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
 
 
-def test_kernels_refuse_a_level_before_building_it():
+def test_connector_power_follows_the_orbit_of_a_non_involution():
+    # [2,-1] has order 4: 1 -> 2 -> -1 -> -2 -> 1
+    orbit = (1, 2, -1, -2)
+    perm = SignedPermutation((2, -1))
+    for exponent, e in (("k", lambda k: k), ("k+1", lambda k: k + 1), ("kmod2", lambda k: k % 2)):
+        atom = ConnectorAtom(1, perm, exponent)
+        assert [atom.value_at(k) for k in range(10)] == [orbit[e(k) % 4] for k in range(10)], exponent
+
+
+def test_kernels_refuse_a_level_before_building_it(monkeypatch):
+    monkeypatch.setattr(substitution, "ITEM_CAP", 9**3)
     with pytest.raises(RuleError, match="level 4: it would have 6561 items"):
-        iterate(arndt_peano_system(), 6, max_items=9**3)
+        iterate(arndt_peano_system(), 6)
+    monkeypatch.setattr(substitution, "ITEM_CAP", 20)
     with pytest.raises(RuleError, match="level 2: it would have 63 items"):
-        iterate(hilbert_original_system(), 5, max_items=20)
+        iterate(hilbert_original_system(), 5)
+    monkeypatch.setattr(substitution, "ITEM_CAP", 10)
     with pytest.raises(RuleError, match="level 1: it would have 18 items"):
-        iterate(arndt_truncated_system(), 1, max_items=10)
+        iterate(arndt_truncated_system(), 1)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fracseq import perms
 from fracseq.geometry import eighth_roots_grid, square_diagonal_grid, square_grid
 from fracseq.perms import (
     PermError,
@@ -234,9 +235,10 @@ def test_hyperoctahedral_order():
         assert len(generate_group(gens)) == 2**n * __import__("math").factorial(n)
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
+    monkeypatch.setattr(perms, "GROUP_CAP", 3)
     with pytest.raises(PermError):
-        generate_group([p(2, -1), p(1, -2)], max_size=3)
+        generate_group([p(2, -1), p(1, -2)])
 
 
 # -------------------------------------------------------------- isometry

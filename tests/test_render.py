@@ -95,8 +95,6 @@ def test_obj_requires_3d():
 
 def test_options_validation():
     with pytest.raises(RenderError):
-        RenderOptions(scale=0)
-    with pytest.raises(RenderError):
         RenderOptions(projection="weird")
 
 

@@ -214,6 +214,67 @@ def test_kind_comes_before_its_directives():
     assert parse_rule_file(ARNDT.replace("name arndt-peano\ndigiset 2\n", "") + "digiset 2\nname x\n").name == "x"
 
 
+# every digit and perm a file states lies in its digiset, wherever the
+# digiset line stands: (file, line, column, message)
+OUTSIDE_DIGISET = [
+    ("digiset 2\nkind edgewise\nstart 1,3\nterm [1,2]\nterm [2,-1]\n", 3, 9, "digit 3 outside digiset D2"),
+    ("kind edgewise\nstart 1\nterm [1,2,3]\nterm [2,3,1]\ndigiset 2\n", 3, 6,
+     "perm [1,2,3] of dimension 3 outside digiset D2"),
+    ("digiset 2\nkind digitwise\nstart 1\ndigit 1 -> 1,3\n", 4, 14, "digit 3 outside digiset D2"),
+    ("digiset 2\nkind digitwise\nstart 1\ndigit 3 -> 1,2\n", 4, 7, "digit 3 outside digiset D2"),
+    ("digiset 2\nkind digitwise\nstart 1,  -3'\ndigit 1 -> 1,2\n", 3, 11, "digit -3 outside digiset D2"),
+    ("digiset 2\nkind pairlift\nstart 1,2\npair 1,3 -> 1,2\n", 4, 8, "digit 3 outside digiset D2"),
+    ("digiset 2\nkind pairlift\nstart 1,2\npair 1,2 -> <1, -4>\n", 4, 17, "digit -4 outside digiset D2"),
+    ("digiset 2\nkind wholecurve\nstart H 2,13\nrule H\natom H [1,2]\natom H [2,1]\n", 3, 11,
+     "digit 13 outside digiset D2"),
+    ("digiset 2\nkind wholecurve\nstart H 1\nrule H\natom H [1,2]\natom connector 3\n", 6, 16,
+     "digit 3 outside digiset D2"),
+    ("digiset 2\nkind wholecurve\nstart H 1\nrule H\natom H [1,2]\natom connector 1 [3,2,1]^k\n", 6, 18,
+     "perm [3,2,1] of dimension 3 outside digiset D2"),
+    ("digiset 2\nkind wholecurve\nstart H 1\nrule H\natom H [1,2]\natom H [1,2,3]\n", 6, 6,
+     "perm [1,2,3] of dimension 3 outside digiset D2"),
+    ("digiset 2\nkind edgewise\nstart 1\nterm [1,2]\npost [3,2,1]^k\n", 5, 6,
+     "perm [3,2,1] of dimension 3 outside digiset D2"),
+]
+
+
+@pytest.mark.parametrize("text, line, col, message", OUTSIDE_DIGISET, ids=[
+    "start", "term-before-digiset", "digit-image", "digit-variant", "digitwise-start", "pair-context",
+    "pair-image", "wholecurve-start", "connector-digit", "connector-perm", "atom-perm", "post-perm"])
+def test_digits_outside_the_digiset_name_their_token(text, line, col, message):
+    assert _error_at(text) == (f"line {line}, column {col}: {message}", line, col)
+    # an unbounded digiset bounds nothing
+    parse_rule_file(text.replace("digiset 2", "digiset unbounded"))
+
+
+# a directive stated twice is an error at the second line, the line after
+# the text: (text, second line, column, message)
+STATED_TWICE = [
+    (ARNDT, "name other", 1, "a second name line"),
+    (ARNDT, "digiset 3", 1, "a second digiset line"),
+    (ARNDT, "  start 1", 3, "a second start line"),
+    (ARNDT + "post [2,1]^k\n", "post [2,1]^k", 1, "a second post line"),
+    (HILBERT_WHOLECURVE, "output H", 1, "a second output line"),
+    (HILBERT_WHOLECURVE, "start H 1", 7, "a second start line for state 'H'"),
+    (HILBERT_DIGITS, "digit 1' -> -2,-1,2',2", 7, "a second digit line for 1'"),
+    (PAIRS, "pair 1,2 -> 2,1", 6, "a second pair line for 1,2"),
+]
+
+
+@pytest.mark.parametrize("text, second, col, message", STATED_TWICE, ids=[
+    "name", "digiset", "start", "post", "output", "wholecurve-start", "digit", "pair"])
+def test_directive_stated_twice_is_an_error_at_its_line(text, second, col, message):
+    line = len(text.splitlines()) + 1
+    assert _error_at(text + second + "\n") == (f"line {line}, column {col}: {message}", line, col)
+
+
+def test_rule_and_accumulating_directives_may_repeat():
+    # a rule line may reopen its state; terms and atoms accumulate
+    text = HILBERT_WHOLECURVE.replace("output H\n", "rule H\natom H [1,2]\noutput H\n")
+    assert len(parse_rule_file(text).rule.productions["H"]) == 8
+    assert parse_rule_file(ARNDT + "term [1,2]\n").rule.width == 10
+
+
 def test_wholecurve_post_is_the_normalizer():
     sys_ = parse_rule_file(HILBERT_WHOLECURVE + "post [2,1]^k+1\n")
     assert sys_.rule.normalizer == PostTransform(SignedPermutation((2, 1)), "k+1")

@@ -3,6 +3,7 @@ from itertools import chain
 
 import pytest
 
+from fracseq import substitution
 from fracseq.catalog import (
     arndt_peano_system,
     arndt_truncated_system,
@@ -159,9 +160,10 @@ def test_iterate_length_law():
         assert len(iterate(sys_, k + 1)) == 9 * len(iterate(sys_, k))
 
 
-def test_iterate_cap():
+def test_iterate_cap(monkeypatch):
+    monkeypatch.setattr(substitution, "ITEM_CAP", 10**4)
     with pytest.raises(RuleError):
-        iterate(arndt_peano_system(), 8, max_items=10**4)
+        iterate(arndt_peano_system(), 8)
 
 
 def test_iterate_with_lengths():
