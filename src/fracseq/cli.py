@@ -13,7 +13,7 @@ import sys
 from . import catalog
 from .geometry import cubic_grid, sqrt2_pow, trace
 from .perms import PermError, apply, compose, invert, named_perm, parity, parse_perm
-from .render import RenderError, RenderOptions, svg_export
+from .render import PROJECTIONS, RenderError, RenderOptions, svg_export
 from .rulefile import ParseError, parse_rule_file
 from .sequences import (
     compare,
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--level", type=int, required=True)
     ren.add_argument("--out", required=True)
     ren.add_argument("--rounded", action="store_true")
-    ren.add_argument("--projection", default="2d", choices=["2d", "iso", "ortho"])
+    ren.add_argument("--projection", default="2d", choices=PROJECTIONS)
 
     ver = sub.add_parser("verify", help="run catalog verification")
     ver.add_argument("id", nargs="?")

@@ -4,11 +4,11 @@ Hilbert constructions.
 Hyper-orthogonality rests on one fact: unit steps stay inside a unit cube
 exactly when the steps along each axis alternate in sign.
 
-The Hilbert constructions are driven by perm tables: one row per sub-cube,
-holding the isometry that fills it and the exit edge that leads to the
-next one.  Each row's type (whether the block's entry or exit edge is
-aligned with its orientation) is derived from the exit edge rather than
-trusted, and a closure check verifies that consecutive blocks glue:
+The Hilbert constructions are driven by perm tables: one perm per
+sub-cube, the isometry that fills it.  Block i of a state exits along
+edge i + 1 of the state's extended Gray curve; each block's type (whether
+its entry or exit edge is aligned with its orientation) is derived from
+that edge, and a closure check verifies that consecutive blocks glue:
 the exit edge of each block must be the entry edge of the next.
 """
 
@@ -106,43 +106,37 @@ def is_hyper_orthogonal(s: SignedSequence, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class HilbertTableRow:
-    perm: SignedPermutation
-    exit_edge: int
-
-
-@dataclass(frozen=True)
 class HilbertSpec:
     """Perm tables for one hyper-orthogonal Hilbert construction.
 
-    ``tables`` maps the two state names to their row lists.  ``d`` is the
-    perm size of the rows.  Each state's entry and exit edges are the first
-    and last edges of its ``gray_extended`` curve; states are stored and
+    ``tables`` maps the two state names to one perm per sub-cube.  ``d``
+    is the perm size.  Each state's edges are those of its ``gray_extended``
+    curve: the first is its entry edge, edge i + 1 is the exit edge of
+    block i, and the last is its own exit edge.  States are stored and
     iterated without their entry edge.
     """
 
     entry_class: str  # "origin" | "non-origin"
-    tables: dict[str, tuple[HilbertTableRow, ...]]
+    tables: dict[str, tuple[SignedPermutation, ...]]
     normalizer_perm: SignedPermutation
     output_state: str
 
     @property
     def d(self) -> int:
-        return next(iter(self.tables.values()))[0].perm.n
+        return next(iter(self.tables.values()))[0].n
 
-    def row_type(self, row: HilbertTableRow) -> int:
-        """2 when the block's exit edge is its orientation, else 1."""
-        return 1 if self.row_state(row) == TYPE1_STATE else 2
+    def row_type(self, state: str, i: int) -> int:
+        """2 when block i of ``state`` exits along its orientation, else 1."""
+        return 1 if self.row_state(state, i) == TYPE1_STATE else 2
 
-    def row_state(self, row: HilbertTableRow) -> str:
+    def row_state(self, state: str, i: int) -> str:
         """The state whose extension's exit edge (sigma(d) for type 2,
-        -sigma(d-1) for type 1) the row's perm maps onto the row's exit edge."""
+        -sigma(d-1) for type 1) block i's perm maps onto the block's exit edge."""
+        perm, exit_edge = self.tables[state][i], _extension(self.d, state)[i + 1]
         for name in (TYPE1_STATE, TYPE2_STATE):
-            if row.perm.of_digit(_extension(self.d, name)[-1]) == row.exit_edge:
+            if perm.of_digit(_extension(self.d, name)[-1]) == exit_edge:
                 return name
-        raise PermError(
-            f"row {row.perm} with exit {row.exit_edge} matches neither extension type"
-        )
+        raise PermError(f"{state} block {i} {perm} with exit {exit_edge} matches neither extension type")
 
 
 TYPE1_STATE = "H'"
@@ -155,22 +149,22 @@ def _extension(d: int, state: str) -> tuple[int, ...]:
     return gray_extended(d, 1 if state == TYPE1_STATE else 2).items
 
 
-def _rows(data) -> tuple[HilbertTableRow, ...]:
-    return tuple(HilbertTableRow(SignedPermutation(p), e) for p, e in data)
+def _table(*images) -> tuple[SignedPermutation, ...]:
+    return tuple(map(SignedPermutation, images))
 
 
 HILBERT_SPECS: dict[str, HilbertSpec] = {
     "3d-origin": HilbertSpec(
         entry_class="origin",
         tables={
-            TYPE1_STATE: _rows([
-                ((2, 3, 1), 1), ((3, 1, 2), 2), ((3, 1, 2), -1), ((-2, -1, 3), 3),
-                ((-2, -1, 3), 1), ((-3, 1, -2), -2), ((-3, 1, -2), -1), ((-3, 2, -1), -2),
-            ]),
-            TYPE2_STATE: _rows([
-                ((3, 2, 1), 1), ((3, 1, 2), 2), ((3, 1, 2), -1), ((-2, -1, 3), 3),
-                ((-2, -1, 3), 1), ((-3, 1, -2), -2), ((-3, 1, -2), -1), ((2, -3, -1), 3),
-            ]),
+            TYPE1_STATE: _table(
+                (2, 3, 1), (3, 1, 2), (3, 1, 2), (-2, -1, 3),
+                (-2, -1, 3), (-3, 1, -2), (-3, 1, -2), (-3, 2, -1),
+            ),
+            TYPE2_STATE: _table(
+                (3, 2, 1), (3, 1, 2), (3, 1, 2), (-2, -1, 3),
+                (-2, -1, 3), (-3, 1, -2), (-3, 1, -2), (2, -3, -1),
+            ),
         },
         normalizer_perm=SignedPermutation((3, 2, 1)),
         output_state=TYPE2_STATE,
@@ -178,14 +172,14 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
     "3d-nonorigin": HilbertSpec(
         entry_class="non-origin",
         tables={
-            TYPE1_STATE: _rows([
-                ((-2, -1, 3), 1), ((-3, -2, 1), 2), ((-3, 2, -1), -1), ((2, -3, -1), 3),
-                ((2, 3, 1), 1), ((3, 2, 1), -2), ((3, -2, -1), -1), ((3, -1, -2), -2),
-            ]),
-            TYPE2_STATE: _rows([
-                ((-3, -1, 2), 1), ((-3, -2, 1), 2), ((-3, 2, -1), -1), ((2, -3, -1), 3),
-                ((2, 3, 1), 1), ((3, 2, 1), -2), ((3, -2, -1), -1), ((-2, -1, 3), 3),
-            ]),
+            TYPE1_STATE: _table(
+                (-2, -1, 3), (-3, -2, 1), (-3, 2, -1), (2, -3, -1),
+                (2, 3, 1), (3, 2, 1), (3, -2, -1), (3, -1, -2),
+            ),
+            TYPE2_STATE: _table(
+                (-3, -1, 2), (-3, -2, 1), (-3, 2, -1), (2, -3, -1),
+                (2, 3, 1), (3, 2, 1), (3, -2, -1), (-2, -1, 3),
+            ),
         },
         normalizer_perm=SignedPermutation((-2, -1, 3)),
         output_state=TYPE1_STATE,
@@ -193,18 +187,18 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
     "4d-origin": HilbertSpec(
         entry_class="origin",
         tables={
-            TYPE1_STATE: _rows([
-                ((3, 2, 4, 1), 1), ((3, 4, 1, 2), 2), ((4, 3, 1, 2), -1), ((4, -2, -1, 3), 3),
-                ((4, -2, -1, 3), 1), ((4, -3, 1, -2), -2), ((-3, 4, 1, -2), -1), ((-3, 2, -1, 4), 4),
-                ((-3, 2, -1, 4), 1), ((-3, -4, 1, 2), 2), ((-4, -3, 1, 2), -1), ((-4, -2, -1, -3), -3),
-                ((-4, -2, -1, -3), 1), ((-4, 3, 1, -2), -2), ((-4, 3, 1, -2), -1), ((-4, 2, 3, -1), -3),
-            ]),
-            TYPE2_STATE: _rows([
-                ((4, 2, 3, 1), 1), ((4, 3, 1, 2), 2), ((4, 3, 1, 2), -1), ((4, -2, -1, 3), 3),
-                ((4, -2, -1, 3), 1), ((4, -3, 1, -2), -2), ((-3, 4, 1, -2), -1), ((-3, 2, -1, 4), 4),
-                ((-3, 2, -1, 4), 1), ((-3, -4, 1, 2), 2), ((-4, -3, 1, 2), -1), ((-4, -2, -1, -3), -3),
-                ((-4, -2, -1, -3), 1), ((-4, 3, 1, -2), -2), ((3, -4, 1, -2), -1), ((3, 2, -4, -1), 4),
-            ]),
+            TYPE1_STATE: _table(
+                (3, 2, 4, 1), (3, 4, 1, 2), (4, 3, 1, 2), (4, -2, -1, 3),
+                (4, -2, -1, 3), (4, -3, 1, -2), (-3, 4, 1, -2), (-3, 2, -1, 4),
+                (-3, 2, -1, 4), (-3, -4, 1, 2), (-4, -3, 1, 2), (-4, -2, -1, -3),
+                (-4, -2, -1, -3), (-4, 3, 1, -2), (-4, 3, 1, -2), (-4, 2, 3, -1),
+            ),
+            TYPE2_STATE: _table(
+                (4, 2, 3, 1), (4, 3, 1, 2), (4, 3, 1, 2), (4, -2, -1, 3),
+                (4, -2, -1, 3), (4, -3, 1, -2), (-3, 4, 1, -2), (-3, 2, -1, 4),
+                (-3, 2, -1, 4), (-3, -4, 1, 2), (-4, -3, 1, 2), (-4, -2, -1, -3),
+                (-4, -2, -1, -3), (-4, 3, 1, -2), (3, -4, 1, -2), (3, 2, -4, -1),
+            ),
         },
         normalizer_perm=SignedPermutation((4, 2, 3, 1)),
         output_state=TYPE2_STATE,
@@ -212,21 +206,21 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
     "4d-nonorigin": HilbertSpec(
         entry_class="non-origin",
         tables={
-            TYPE1_STATE: _rows([
-                ((-3, -2, -1, 4), 1), ((-3, -4, -2, 1), 2), ((-4, -3, 2, -1), -1), ((-4, 2, -3, -1), 3),
-                ((-4, 2, 3, 1), 1), ((-4, 3, 2, 1), -2), ((3, -4, -2, -1), -1), ((3, -2, -4, -1), 4),
-                ((3, -2, 4, 1), 1), ((3, 4, -2, 1), 2), ((4, 3, 2, -1), -1), ((4, 2, 3, -1), -3),
-                ((4, 2, -3, 1), 1), ((4, -3, 2, 1), -2), ((4, -3, -2, -1), -1), ((4, -2, -1, -3), -3),
-            ]),
+            TYPE1_STATE: _table(
+                (-3, -2, -1, 4), (-3, -4, -2, 1), (-4, -3, 2, -1), (-4, 2, -3, -1),
+                (-4, 2, 3, 1), (-4, 3, 2, 1), (3, -4, -2, -1), (3, -2, -4, -1),
+                (3, -2, 4, 1), (3, 4, -2, 1), (4, 3, 2, -1), (4, 2, 3, -1),
+                (4, 2, -3, 1), (4, -3, 2, 1), (4, -3, -2, -1), (4, -2, -1, -3),
+            ),
             # row 4 is the shared middle row (-4,2,-3,-1), not the origin
             # table's (4,-2,-1,3): with the latter this state mis-tiles its
             # cube at level 2, and entry points stop following 0,1,2,5,...
-            TYPE2_STATE: _rows([
-                ((-4, -2, -1, 3), 1), ((-4, -3, -2, 1), 2), ((-4, -3, 2, -1), -1), ((-4, 2, -3, -1), 3),
-                ((-4, 2, 3, 1), 1), ((-4, 3, 2, 1), -2), ((3, -4, -2, -1), -1), ((3, -2, -4, -1), 4),
-                ((3, -2, 4, 1), 1), ((3, 4, -2, 1), 2), ((4, 3, 2, -1), -1), ((4, 2, 3, -1), -3),
-                ((4, 2, -3, 1), 1), ((4, -3, 2, 1), -2), ((-3, 4, -2, -1), -1), ((-3, -2, -1, 4), 4),
-            ]),
+            TYPE2_STATE: _table(
+                (-4, -2, -1, 3), (-4, -3, -2, 1), (-4, -3, 2, -1), (-4, 2, -3, -1),
+                (-4, 2, 3, 1), (-4, 3, 2, 1), (3, -4, -2, -1), (3, -2, -4, -1),
+                (3, -2, 4, 1), (3, 4, -2, 1), (4, 3, 2, -1), (4, 2, 3, -1),
+                (4, 2, -3, 1), (4, -3, 2, 1), (-3, 4, -2, -1), (-3, -2, -1, 4),
+            ),
         },
         normalizer_perm=SignedPermutation((-3, -2, -1, 4)),
         output_state=TYPE1_STATE,
@@ -237,27 +231,22 @@ HILBERT_SPECS: dict[str, HilbertSpec] = {
 def validate_hilbert_spec(spec: HilbertSpec) -> None:
     """Closure check for a perm table.
 
-    Verifies row counts, that the exit-edge column spells the connecting
-    Gray curve and closes on the state's own exit edge, and that every
-    block's exit edge equals the entry edge of the block after it.
+    Verifies row counts, that every block's exit edge equals the entry
+    edge of the block after it, and that the first block keeps the state's
+    own entry edge.
     """
     d = spec.d
-    ext = {name: _extension(d, name) for name in spec.tables}
     for name, rows in spec.tables.items():
         if len(rows) != 2**d:
             raise PermError(f"{name} table must have {2**d} rows, got {len(rows)}")
-        col = tuple(r.exit_edge for r in rows)
-        if col[:-1] != ext[name][1:-1]:
-            raise PermError(f"{name} exit-edge column does not spell the connecting Gray curve")
-        if col[-1] != ext[name][-1]:
-            raise PermError(f"{name} last exit edge must be {ext[name][-1]}")
-        entries = [r.perm.of_digit(_extension(d, spec.row_state(r))[0]) for r in rows]
+        ext = _extension(d, name)
+        entries = [p.of_digit(_extension(d, spec.row_state(name, i))[0]) for i, p in enumerate(rows)]
         for i in range(len(rows) - 1):
-            if rows[i].exit_edge != entries[i + 1]:
+            if ext[i + 1] != entries[i + 1]:
                 raise PermError(
-                    f"{name} blocks {i} and {i + 1} do not glue: exit {rows[i].exit_edge} vs entry {entries[i + 1]}"
+                    f"{name} blocks {i} and {i + 1} do not glue: exit {ext[i + 1]} vs entry {entries[i + 1]}"
                 )
-        if entries[0] != ext[name][0]:
+        if entries[0] != ext[0]:
             raise PermError(f"{name} entry edge is not preserved by its first block")
 
 
@@ -270,7 +259,7 @@ def hilbert_system(spec: HilbertSpec) -> SubstitutionSystem:
     validate_hilbert_spec(spec)
     starts = {name: _extension(spec.d, name)[1:] for name in (TYPE1_STATE, TYPE2_STATE)}
     productions = {
-        name: tuple(StateAtom(spec.row_state(r), Term(r.perm)) for r in rows)
+        name: tuple(StateAtom(spec.row_state(name, i), Term(p)) for i, p in enumerate(rows))
         for name, rows in spec.tables.items()
     }
     rule = WholeCurveRule(

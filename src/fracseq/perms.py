@@ -58,7 +58,7 @@ def identity(n: int) -> SignedPermutation:
 
 def apply(p: SignedPermutation, s: SignedSequence) -> SignedSequence:
     """Itemwise x -> sign(x) * p(|x|); length preserved."""
-    return SignedSequence(tuple(p.of_digit(k) for k in s.items), s.digiset)
+    return SignedSequence(apply_items(p, s.items), s.digiset)
 
 
 def apply_items(p: SignedPermutation, items: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,7 +33,8 @@ state; a ``digit`` line comes once per variant and a ``pair`` line once
 per pair.  ``rule`` may reopen a state, and ``term`` and ``atom`` lines
 accumulate.  Under a bounded digiset every digit the file states (starts,
 both sides of ``digit`` and ``pair`` lines, connector digits) lies in it,
-and no term, atom, connector or post perm has a higher dimension.
+sign included, and every term, atom, connector and post perm has the
+digiset's dimension.
 
 Terms: an optional leading ``-`` negates; ``~k`` or ``~k+1`` makes the
 sign alternate with the level; ``*R`` reverses; a trailing ``*sqrt2``,
@@ -42,10 +43,11 @@ sqrt2 only).  Variants carry apostrophes: ``1``, ``-2'``, ``1''``.
 
 Sequences are comma-separated signed integers, `<...>` brackets optional.
 Errors name the line and column of the offending token, including a
-directive the kind does not read or states twice, a digit or perm outside
-the digiset, and an ``atom``, ``rule``, ``output``, ``term`` or ``digit``
-line that the built system would reject.  A missing section is reported
-at line 1, column 1.
+directive the kind does not read or states twice and a digit or perm that
+does not fit the digiset.  The rule constructors make the construction
+checks and name the part at fault (``RuleError.where``); the parser reports
+the error at the ``term``, ``digit``, ``atom``, ``rule`` or ``output`` line
+that stated it.  A missing section is reported at line 1, column 1.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from .perms import PermError, parse_perm
+from .perms import PermError, SignedPermutation, parse_perm
 from .sequences import Digiset
 from .substitution import (
     ConnectorAtom,
@@ -61,6 +63,7 @@ from .substitution import (
     EdgewiseRule,
     PairRule,
     PostTransform,
+    RuleError,
     StateAtom,
     SubstitutionSystem,
     Term,
@@ -92,7 +95,7 @@ def _parse_variant(tok: str, line: int, col: int, stated: list) -> Variant:
     digit = _int(m.group(1), "variant token", line, col) if m else 0
     if digit == 0:
         raise ParseError(f"bad variant token {tok!r}", line, col)
-    stated.append((abs(digit), f"digit {digit}", line, col))
+    stated.append((digit, line, col))
     return (digit, len(m.group(2)))
 
 
@@ -119,7 +122,7 @@ def _parse_int_list(text: str, line: int, col: int, stated: list) -> tuple[int, 
         v = _int(tok, "integer", line, tcol)
         if v == 0:
             raise ParseError("0 is not a digit", line, tcol)
-        stated.append((abs(v), f"digit {v}", line, tcol))
+        stated.append((v, line, tcol))
         out.append(v)
     return tuple(out)
 
@@ -214,10 +217,6 @@ _KIND_DIRECTIVES = frozenset(d for reads in _READS.values() for d in reads)
 _ONCE = frozenset({"name", "digiset", "kind", "output", "post"})
 
 
-def _perm_stated(stated: list, perm, line: int, col: int) -> None:
-    stated.append((perm.n, f"perm {perm} of dimension {perm.n}", line, col))
-
-
 def parse_rule_file(text: str) -> SubstitutionSystem:
     name = ""
     digiset: Digiset | None = None
@@ -228,16 +227,14 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
     digit_map: dict[Variant, tuple[Variant, ...]] = {}
     pair_map: dict[tuple[int, int], tuple[int, int]] = {}
     productions: dict[str, list] = {}
-    # where each wholecurve state is declared, and where each atom names one
-    declared: dict[str, tuple[int, int]] = {}
-    references: list[tuple[str, str, int, int]] = []
     current_state: str | None = None
     output_state: str | None = None
-    output_at = (1, 1)
     post: PostTransform | None = None
     once: set[str] = set()
-    # (magnitude, what, line, column) of every digit and perm the file states
-    stated: list[tuple[int, str, int, int]] = []
+    # (line, column) of each part a RuleError's ``where`` may name
+    at: dict[tuple, tuple[int, int]] = {}
+    # (digit or perm, line, column) of every digit and perm the file states
+    stated: list[tuple[int | SignedPermutation, int, int]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -290,9 +287,8 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
                 start = _parse_int_list(arg, line_no, arg_col, stated)
         elif head == "term":
             term = _parse_term(arg, line_no, arg_col)
-            if terms and term.perm.n != terms[0].perm.n:
-                raise ParseError("all terms must share one dimension", line_no, arg_col)
-            _perm_stated(stated, term.perm, line_no, arg_col)
+            stated.append((term.perm, line_no, arg_col))
+            at[("term", len(terms))] = (line_no, arg_col)
             terms.append(term)
         elif head == "digit":
             if "->" not in arg:
@@ -301,11 +297,8 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
             v = _parse_variant(lhs, line_no, arg_col, stated)
             if v in digit_map:
                 raise ParseError(f"a second digit line for {lhs}", line_no, arg_col)
-            image = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs), stated)
-            neg = (-v[0], v[1])
-            if neg in digit_map and digit_map[neg] != tuple((-x, m) for x, m in image):
-                raise ParseError(f"digit rule breaks T(-x) = -T(x) at {v}", line_no, arg_col)
-            digit_map[v] = image
+            digit_map[v] = _parse_variant_list(rhs, line_no, arg_col + arg.find(rhs), stated)
+            at[("digit", v)] = (line_no, arg_col)
         elif head == "pair":
             if "->" not in arg:
                 raise ParseError("pair rule needs '->'", line_no, arg_col)
@@ -320,7 +313,7 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
         elif head == "rule":
             current_state = arg
             productions.setdefault(current_state, [])
-            declared.setdefault(current_state, (line_no, arg_col))
+            at.setdefault(("rule", current_state), (line_no, arg_col))
         elif head == "atom":
             parts = arg.split(None, 1)
             if len(parts) != 2:
@@ -332,30 +325,30 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
                 digit = _int(toks[0], "connector digit", line_no, digit_col)
                 if digit == 0:
                     raise ParseError("0 is not a digit", line_no, digit_col)
-                stated.append((abs(digit), f"digit {digit}", line_no, digit_col))
+                stated.append((digit, line_no, digit_col))
                 if len(toks) == 1:
                     atom = ConnectorAtom(digit)
                 else:
                     tcol = digit_col + payload.find(toks[1], len(toks[0]))
                     atom = _parse_perm_power(partial(ConnectorAtom, digit), toks[1], "connector transform",
                                              line_no, tcol)
-                    _perm_stated(stated, atom.perm, line_no, tcol)
+                    stated.append((atom.perm, line_no, tcol))
             else:
                 atom = StateAtom(target, _parse_term(payload, line_no, arg_col))
-                _perm_stated(stated, atom.term.perm, line_no, arg_col)
+                stated.append((atom.term.perm, line_no, arg_col))
             if current_state is None:
                 # single-state systems may omit `rule`; synthesize one state
                 current_state = "S"
-                declared[current_state] = (line_no, col)
-            if isinstance(atom, StateAtom):
-                references.append((current_state, target, line_no, arg_col))
-            productions.setdefault(current_state, []).append(atom)
+                at[("rule", current_state)] = (line_no, col)
+            atoms = productions.setdefault(current_state, [])
+            at[("atom", current_state, len(atoms))] = (line_no, arg_col)
+            atoms.append(atom)
         elif head == "output":
             output_state = arg
-            output_at = (line_no, arg_col)
+            at[("output",)] = (line_no, arg_col)
         elif head == "post":
             post = _parse_perm_power(PostTransform, arg, "post transform", line_no, arg_col)
-            _perm_stated(stated, post.perm, line_no, arg_col)
+            stated.append((post.perm, line_no, arg_col))
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, col)
 
@@ -363,44 +356,44 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
         raise ParseError("missing digiset", 1, 1)
     if not kind:
         raise ParseError("missing kind", 1, 1)
-    if digiset.size is not None:
-        for size, what, line_no, col in stated:
-            if size > digiset.size:
-                raise ParseError(f"{what} outside digiset {digiset}", line_no, col)
+    try:
+        if kind == "edgewise":
+            if not terms:
+                raise ParseError("edgewise rule has no terms", 1, 1)
+            rule = EdgewiseRule(tuple(terms))
+        elif kind == "digitwise":
+            if not digit_map:
+                raise ParseError("digitwise rule has no digit lines", 1, 1)
+            rule = DigitRule(digit_map)
+        elif kind == "wholecurve":
+            if output_state is None:
+                output_state = next(iter(productions), None)
+            if output_state is None:
+                raise ParseError("wholecurve needs atoms", 1, 1)
+            rule = WholeCurveRule(
+                productions={s: tuple(a) for s, a in productions.items()},
+                starts=starts,
+                output_state=output_state,
+                normalizer=post,
+            )
+            # a wholecurve's post is its read-out normalizer, not a per-step relabeling
+            post = None
+        else:  # pairlift
+            if not pair_map:
+                raise ParseError("pairlift needs pair lines", 1, 1)
+            if not start:
+                raise ParseError("pairlift needs a start", 1, 1)
+            rule = PairRule(pair_map)
+        system = SubstitutionSystem(digiset=digiset, rule=rule, start=start, post=post, name=name)
+    except RuleError as exc:
+        raise ParseError(str(exc), *at.get(exc.where, (1, 1))) from None
 
-    if kind == "edgewise":
-        if not terms:
-            raise ParseError("edgewise rule has no terms", 1, 1)
-        rule = EdgewiseRule(tuple(terms))
-    elif kind == "digitwise":
-        if not digit_map:
-            raise ParseError("digitwise rule has no digit lines", 1, 1)
-        rule = DigitRule(digit_map)
-    elif kind == "wholecurve":
-        for owner, state, line_no, col in references:
-            if state not in productions:
-                raise ParseError(f"production of {owner!r} references unknown state {state!r}", line_no, col)
-        if output_state is None:
-            output_state = next(iter(productions), None)
-        if output_state is None:
-            raise ParseError("wholecurve needs atoms", 1, 1)
-        if output_state not in productions:
-            raise ParseError(f"unknown output state {output_state!r}", *output_at)
-        for state, (line_no, col) in declared.items():
-            if state not in starts:
-                raise ParseError(f"state {state!r} has no start sequence", line_no, col)
-        rule = WholeCurveRule(
-            productions={s: tuple(a) for s, a in productions.items()},
-            starts=starts,
-            output_state=output_state,
-            normalizer=post,
-        )
-        # a wholecurve's post is its read-out normalizer, not a per-step relabeling
-        post = None
-    else:  # pairlift
-        if not pair_map:
-            raise ParseError("pairlift needs pair lines", 1, 1)
-        if not start:
-            raise ParseError("pairlift needs a start", 1, 1)
-        rule = PairRule(pair_map)
-    return SubstitutionSystem(digiset=digiset, rule=rule, start=start, post=post, name=name)
+    if digiset.size is not None:
+        for value, line_no, col in stated:
+            if isinstance(value, SignedPermutation):
+                if value.n != digiset.size:
+                    fit = "outside" if value.n > digiset.size else "short of"
+                    raise ParseError(f"perm {value} of dimension {value.n} {fit} digiset {digiset}", line_no, col)
+            elif value not in digiset:
+                raise ParseError(f"digit {value} outside digiset {digiset}", line_no, col)
+    return system

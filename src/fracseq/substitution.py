@@ -53,7 +53,14 @@ Variant = tuple[int, int]  # (signed base digit, mark); mark 0 is the plain digi
 
 
 class RuleError(ValueError):
-    pass
+    """A rule or system that cannot be built or run.  ``where`` names the
+    part at fault, or is None: ``("term", i)``, ``("digit", variant)``,
+    ``("atom", state, i)`` (the i-th atom of a state's production),
+    ``("rule", state)`` or ``("output",)``."""
+
+    def __init__(self, message: str, where: tuple | None = None):
+        super().__init__(message)
+        self.where = where
 
 
 _EXPONENTS = ("k", "k+1", "kmod2")
@@ -149,9 +156,9 @@ class EdgewiseRule:
         if not self.terms:
             raise RuleError("edgewise rule needs at least one term")
         n = self.terms[0].perm.n
-        for t in self.terms:
+        for i, t in enumerate(self.terms):
             if t.perm.n != n:
-                raise RuleError("all terms must share one dimension")
+                raise RuleError("all terms must share one dimension", ("term", i))
 
     @property
     def width(self) -> int:
@@ -169,7 +176,8 @@ class DigitRule:
     ``mapping`` holds images for variants; a variant (x, m) missing from the
     mapping falls back to the negated image of (-x, m), then to ``default``.
     With ``strict_negation`` (the usual case) the stored images must satisfy
-    T(-v) = -T(v) whenever both signs are present.
+    T(-v) = -T(v) whenever both signs are present; a broken pair is
+    reported at the variant stored second.
     """
 
     kind: ClassVar[str] = "digitwise"
@@ -180,10 +188,12 @@ class DigitRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", dict(self.mapping))
         if self.strict_negation:
+            seen = set()
             for v, img in self.mapping.items():
                 neg = (-v[0], v[1])
-                if neg in self.mapping and self.mapping[neg] != _negate_variants(img):
-                    raise RuleError(f"digit rule breaks T(-x) = -T(x) at {v}")
+                if neg in seen and self.mapping[neg] != _negate_variants(img):
+                    raise RuleError(f"digit rule breaks T(-x) = -T(x) at {v}", ("digit", v))
+                seen.add(v)
 
     def image(self, v: Variant) -> tuple[Variant, ...]:
         if v in self.mapping:
@@ -246,14 +256,15 @@ class WholeCurveRule:
         object.__setattr__(self, "productions", dict(self.productions))
         object.__setattr__(self, "starts", dict(self.starts))
         for name, atoms in self.productions.items():
-            for a in atoms:
+            for i, a in enumerate(atoms):
                 if isinstance(a, StateAtom) and a.state not in self.productions:
-                    raise RuleError(f"production of {name!r} references unknown state {a.state!r}")
+                    raise RuleError(f"production of {name!r} references unknown state {a.state!r}",
+                                    ("atom", name, i))
         if self.output_state not in self.productions:
-            raise RuleError(f"unknown output state {self.output_state!r}")
+            raise RuleError(f"unknown output state {self.output_state!r}", ("output",))
         for name in self.productions:
             if name not in self.starts:
-                raise RuleError(f"state {name!r} has no start sequence")
+                raise RuleError(f"state {name!r} has no start sequence", ("rule", name))
 
 
 def expand_wholecurve(

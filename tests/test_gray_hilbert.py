@@ -95,10 +95,10 @@ def test_hilbert_specs_validate():
 
 def test_hilbert_row_types():
     spec = HILBERT_SPECS["3d-origin"]
-    types = [spec.row_type(r) for r in spec.tables[TYPE2_STATE]]
+    types = [spec.row_type(TYPE2_STATE, i) for i in range(8)]
     assert types == [2, 2, 1, 2, 1, 2, 1, 1]
     spec4 = HILBERT_SPECS["4d-origin"]
-    types4 = [spec4.row_type(r) for r in spec4.tables[TYPE1_STATE]]
+    types4 = [spec4.row_type(TYPE1_STATE, i) for i in range(16)]
     assert types4 == [2, 2] + [1, 2] * 6 + [1, 1]
 
 
@@ -168,16 +168,34 @@ def test_entry_point_validation():
 def test_corrupted_table_fails_closure_check():
     import dataclasses
 
-    from fracseq.gray import HilbertTableRow
     from fracseq.perms import PermError
 
     spec = HILBERT_SPECS["3d-origin"]
     rows = list(spec.tables[TYPE2_STATE])
-    rows[4] = HilbertTableRow(SignedPermutation((1, 2, 3)), rows[4].exit_edge)
+    rows[4] = SignedPermutation((1, 2, 3))
     bad = dataclasses.replace(
         spec, tables={TYPE1_STATE: spec.tables[TYPE1_STATE], TYPE2_STATE: tuple(rows)})
     with pytest.raises(PermError):
         hilbert_system(bad)
+
+
+def test_corrupted_table_fails_row_count_and_glue_checks():
+    import dataclasses
+
+    from fracseq.perms import PermError
+
+    spec = HILBERT_SPECS["3d-origin"]
+
+    def with_type2(rows):
+        return dataclasses.replace(spec, tables={TYPE1_STATE: spec.tables[TYPE1_STATE], TYPE2_STATE: rows})
+
+    with pytest.raises(PermError, match=r"^H'' table must have 8 rows, got 7$"):
+        validate_hilbert_spec(with_type2(spec.tables[TYPE2_STATE][:7]))
+    # [-2,-1,-3] still exits block 4 along edge 1, but enters it along -3
+    rows = list(spec.tables[TYPE2_STATE])
+    rows[4] = SignedPermutation((-2, -1, -3))
+    with pytest.raises(PermError, match=r"^H'' blocks 3 and 4 do not glue: exit 3 vs entry -3$"):
+        validate_hilbert_spec(with_type2(tuple(rows)))
 
 
 def test_wholecurve_missing_state():

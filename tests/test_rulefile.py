@@ -214,8 +214,9 @@ def test_kind_comes_before_its_directives():
     assert parse_rule_file(ARNDT.replace("name arndt-peano\ndigiset 2\n", "") + "digiset 2\nname x\n").name == "x"
 
 
-# every digit and perm a file states lies in its digiset, wherever the
-# digiset line stands: (file, line, column, message)
+# every digit a file states lies in its digiset, sign included, and every
+# perm has its dimension, wherever the digiset line stands:
+# (file, line, column, message)
 OUTSIDE_DIGISET = [
     ("digiset 2\nkind edgewise\nstart 1,3\nterm [1,2]\nterm [2,-1]\n", 3, 9, "digit 3 outside digiset D2"),
     ("kind edgewise\nstart 1\nterm [1,2,3]\nterm [2,3,1]\ndigiset 2\n", 3, 6,
@@ -235,12 +236,17 @@ OUTSIDE_DIGISET = [
      "perm [1,2,3] of dimension 3 outside digiset D2"),
     ("digiset 2\nkind edgewise\nstart 1\nterm [1,2]\npost [3,2,1]^k\n", 5, 6,
      "perm [3,2,1] of dimension 3 outside digiset D2"),
+    ("digiset 2\nkind edgewise\nstart 1,2\nterm [1]\nterm [1]\n", 4, 6,
+     "perm [1] of dimension 1 short of digiset D2"),
+    ("digiset 2 positive\nkind edgewise\nstart 1,-2\nterm [1,2]\nterm [2,1]\n", 3, 9,
+     "digit -2 outside digiset +D2"),
 ]
 
 
 @pytest.mark.parametrize("text, line, col, message", OUTSIDE_DIGISET, ids=[
     "start", "term-before-digiset", "digit-image", "digit-variant", "digitwise-start", "pair-context",
-    "pair-image", "wholecurve-start", "connector-digit", "connector-perm", "atom-perm", "post-perm"])
+    "pair-image", "wholecurve-start", "connector-digit", "connector-perm", "atom-perm", "post-perm",
+    "term-below-digiset", "positive-digiset"])
 def test_digits_outside_the_digiset_name_their_token(text, line, col, message):
     assert _error_at(text) == (f"line {line}, column {col}: {message}", line, col)
     # an unbounded digiset bounds nothing

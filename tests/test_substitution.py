@@ -25,7 +25,9 @@ from fracseq.substitution import (
     EdgewiseRule,
     PostTransform,
     RuleError,
+    StateAtom,
     Term,
+    WholeCurveRule,
     check_commutation,
     check_extending,
     SubstitutionSystem,
@@ -97,6 +99,29 @@ def test_expand_digitwise_examples():
 def test_digit_rule_negation_enforced():
     with pytest.raises(RuleError):
         DigitRule({(1, 0): ((1, 0),), (-1, 0): ((1, 0),)})
+
+
+def _where(build):
+    with pytest.raises(RuleError) as exc:
+        build()
+    return str(exc.value), exc.value.where
+
+
+def test_construction_errors_name_the_part_at_fault():
+    # the variant stored second completes the broken pair
+    assert _where(lambda: DigitRule({(-1, 1): ((1, 0),), (2, 0): ((2, 0),), (1, 1): ((1, 0),)})) == (
+        "digit rule breaks T(-x) = -T(x) at (1, 1)", ("digit", (1, 1)))
+    assert _where(lambda: EdgewiseRule((Term(MU), Term(TAU_D), Term(identity(3))))) == (
+        "all terms must share one dimension", ("term", 2))
+    h = (StateAtom("H", Term(IOTA)), StateAtom("H", Term(MU)))
+    assert _where(lambda: WholeCurveRule({"H": h, "G": h + (StateAtom("F", Term(MU)),)}, {"H": (1,)}, "H")) == (
+        "production of 'G' references unknown state 'F'", ("atom", "G", 2))
+    assert _where(lambda: WholeCurveRule({"H": h}, {"H": (1,)}, "G")) == (
+        "unknown output state 'G'", ("output",))
+    assert _where(lambda: WholeCurveRule({"H": h, "G": h}, {"H": (1,)}, "H")) == (
+        "state 'G' has no start sequence", ("rule", "G"))
+    # an error with no part to name
+    assert _where(lambda: Term(MU, sign=2)) == ("term sign must be +1 or -1", None)
 
 
 def test_expand_wholecurve_hilbert_drawing():
