@@ -10,7 +10,8 @@ Grid construction checks independence and span with one integer rank
 test; a trace embeds each distinct step once as a ``_Ring`` product and
 then walks on integer tuples; self-avoidance, overlap, coverage and
 lattice checks are exact integer decisions.  Floats appear only in
-``Polyline.float_vertices`` and ``numeric_vertices``, for ``render``.
+``Polyline.float_columns`` (and the ``float_vertices`` and
+``numeric_vertices`` read from it), for ``render``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, combinations, islice, product
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 from .perms import _det_fraction_free
@@ -325,23 +326,26 @@ class Polyline:
                             "or points")
         return self.points
 
-    def float_vertices(self) -> list[tuple[float, ...]]:
-        """Coordinates as floats.  Each axis adds its terms c/denominator *
-        sqrt(r) in basis order, so the bits are the same on every run."""
+    def float_columns(self) -> list[list[float]]:
+        """Coordinates as floats, one list per axis.  Each coordinate adds
+        its terms c/denominator * sqrt(r) in basis order, so the bits are
+        the same on every run."""
+        columns = [map(itemgetter(j), self.points) for j in range(len(self.points[0]))]  # each read once
         if self.is_integral():
-            return [tuple(map(float, v)) for v in self.points]
+            return [list(map(float, c)) for c in columns]
         k, den = len(self.basis), self.denominator
         roots = tuple(enumerate((_ROOTS[r] for r in self.basis[1:]), 1))
         out = []
-        for v in self.points:
-            coords = []
-            for j in range(0, len(v), k):
-                x = v[j] / den
-                for t, root in roots:
-                    x += (v[j + t] / den) * root
-                coords.append(x)
-            out.append(tuple(coords))
+        for j in range(0, len(columns), k):
+            xs = [c / den for c in columns[j]]
+            for t, root in roots:
+                xs = [x + (c / den) * root for x, c in zip(xs, columns[j + t])]
+            out.append(xs)
         return out
+
+    def float_vertices(self) -> list[tuple[float, ...]]:
+        """Each vertex as a float tuple, read from ``float_columns``."""
+        return list(zip(*self.float_columns()))
 
     def lattice_points(self) -> list[tuple[int, ...] | None]:
         """Each vertex as an integer tuple, or None where a coordinate is
@@ -377,7 +381,7 @@ def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Pol
     a + b*sqrt2 is the int pair (a, b) that ``sqrt2_pow`` returns.  Each
     distinct (digit, length) step is computed once as a ``_Ring`` product
     and embedded with the lowest common denominator (see ``Polyline``);
-    the walk itself only adds integer tuples.
+    the walk itself is one running integer sum per coefficient column.
     """
     items = s.items
     if lengths is not None and len(lengths) != len(items):
@@ -406,13 +410,9 @@ def trace(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> Pol
     g = math.gcd(grid.denominator, *(c for v in steps.values() for c in v))
     if g > 1:
         steps = {key: tuple(c // g for c in v) for key, v in steps.items()}
-    pos = (0,) * (grid.dim * ring.k)
-    out = [pos]
-    append = out.append
-    for key in keys:
-        pos = tuple(map(add, pos, steps[key]))
-        append(pos)
-    return Polyline._unchecked(tuple(out), grid.denominator // g, ring.basis)
+    columns = [accumulate(map({key: v[c] for key, v in steps.items()}.__getitem__, keys), initial=0)
+               for c in range(grid.dim * ring.k)]
+    return Polyline._unchecked(tuple(zip(*columns)), grid.denominator // g, ring.basis)
 
 
 def orientation(s: SignedSequence, grid: Grid, lengths: Sequence | None = None) -> tuple[int, ...]:

@@ -62,12 +62,13 @@ def apply(p: SignedPermutation, s: SignedSequence) -> SignedSequence:
 
 
 def apply_items(p: SignedPermutation, items: tuple[int, ...]) -> tuple[int, ...]:
-    imgs = p.images
+    """p applied to each digit; 0 and digits beyond ±n raise, naming the first."""
+    table = dict(enumerate(p.images, start=1))
+    table.update({-k: -v for k, v in table.items()})
     try:
-        return tuple(imgs[k - 1] if k > 0 else -imgs[-k - 1] for k in items)
-    except IndexError:
-        bad = next(k for k in items if abs(k) > p.n)
-        raise PermError(f"digit {bad} outside dimension {p.n}") from None
+        return tuple(map(table.__getitem__, items))
+    except KeyError as exc:
+        raise PermError(f"digit {exc.args[0]} outside dimension {p.n}") from None
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:

@@ -3,6 +3,13 @@
 Output is byte-for-byte reproducible: fixed number formatting, no
 timestamps, no dict-order dependence.  The SVG y axis is flipped so that
 mathematically y-up curves render the usual way on screen.
+
+An export works on coordinate columns, one float list per axis
+(``Polyline.float_columns``), with one code path for every grid and
+projection: project the columns, map them to the screen, then format
+each distinct float once (``_Names``) and join the path in one pass.
+A curve reuses few coordinate values, so formatting costs about one
+dict lookup per coordinate.
 """
 
 from __future__ import annotations
@@ -39,12 +46,15 @@ class RenderOptions:
             raise RenderError(f"projection must be one of {PROJECTIONS}")
 
 
-def _project(vertices: list[tuple[float, ...]], projection: str) -> list[tuple[float, float]]:
-    dim = len(vertices[0])
+def _project(columns: list[list[float]], projection: str) -> tuple[list[float], list[float]]:
+    """The plane coordinates of every vertex, one list per screen axis."""
+    dim = len(columns)
     if (dim, projection) in ((2, "2d"), (2, "ortho"), (3, "ortho")):
-        return [(v[0], v[1]) for v in vertices]
+        return columns[0], columns[1]
     if (dim, projection) == (3, "iso"):
-        return [((v[0] - v[1]) * _COS30, v[2] + (v[0] + v[1]) * _SIN30) for v in vertices]
+        xs, ys, zs = columns
+        return ([(x - y) * _COS30 for x, y in zip(xs, ys)],
+                [z + (x + y) * _SIN30 for x, y, z in zip(xs, ys, zs)])
     raise RenderError(f"cannot render dimension {dim} with projection {projection!r}")
 
 
@@ -53,29 +63,29 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+class _Names(dict):
+    """The text of each distinct float, formatted on its first lookup.
+    0.0 and -0.0 share a key; both print as 0."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _fmt(x)
+        return text
+
+
 def svg_export(p: Polyline, opts: RenderOptions = RenderOptions()) -> bytes:
     """A single-path SVG document.
 
     Rounded corners replace each interior vertex by a quadratic cut at a
     quarter of the shorter adjacent segment.
     """
-    pts = _project(p.float_vertices(), opts.projection)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
+    xs, ys = _project(p.float_columns(), opts.projection)
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
     w = (maxx - minx) * SCALE + 2 * MARGIN
     h = (maxy - miny) * SCALE + 2 * MARGIN
-
-    def to_screen(pt):
-        x, y = pt
-        return (
-            (x - minx) * SCALE + MARGIN,
-            h - ((y - miny) * SCALE + MARGIN),  # y up
-        )
-
-    screen = [to_screen(pt) for pt in pts]
-    d = _path_data(screen, opts.rounded_corners)
+    xs = [(x - minx) * SCALE + MARGIN for x in xs]
+    ys = [h - ((y - miny) * SCALE + MARGIN) for y in ys]  # y up
+    d = _path_data(xs, ys, opts.rounded_corners)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" height="{_fmt(h)}" '
@@ -87,32 +97,31 @@ def svg_export(p: Polyline, opts: RenderOptions = RenderOptions()) -> bytes:
     return "\n".join(lines).encode("ascii")
 
 
-def _path_data(pts: list[tuple[float, float]], rounded: bool) -> str:
+def _path_data(xs: list[float], ys: list[float], rounded: bool) -> str:
     """``M`` to the first point, then ``L p`` for each later point, or
     ``L pin Q p pout`` at a rounded corner between two nonzero edges."""
-    parts = [f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])}"]
-    for i in range(1, len(pts)):
-        cur = pts[i]
-        if rounded and i + 1 < len(pts):
-            prev, nxt = pts[i - 1], pts[i + 1]
-            lin, lout = _dist(prev, cur), _dist(cur, nxt)
+    name = _Names().__getitem__
+    # three tokens per vertex, "L", x and y ("M" first), joined once
+    tokens = ["L"] * (3 * len(xs))
+    tokens[0] = "M"
+    tokens[1::3] = map(name, xs)
+    tokens[2::3] = map(name, ys)
+    if rounded:
+        # edge i runs from vertex i to vertex i + 1
+        lengths = [((x0 - x1) ** 2 + (y0 - y1) ** 2) ** 0.5
+                   for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+        for i in range(1, len(xs) - 1):
+            lin, lout = lengths[i - 1], lengths[i]
             if lin and lout:
                 cut = 0.25 * min(lin, lout)
-                pin = _lerp(cur, prev, cut / lin)
-                pout = _lerp(cur, nxt, cut / lout)
-                parts.append(f"L {_fmt(pin[0])} {_fmt(pin[1])} "
-                             f"Q {_fmt(cur[0])} {_fmt(cur[1])} {_fmt(pout[0])} {_fmt(pout[1])}")
-                continue
-        parts.append(f"L {_fmt(cur[0])} {_fmt(cur[1])}")
-    return " ".join(parts)
-
-
-def _dist(a, b) -> float:
-    return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
-
-
-def _lerp(a, b, t):
-    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+                x, y = xs[i], ys[i]
+                tin, tout = cut / lin, cut / lout
+                pin = f"{name(x + (xs[i - 1] - x) * tin)} {name(y + (ys[i - 1] - y) * tin)}"
+                pout = f"{name(x + (xs[i + 1] - x) * tout)} {name(y + (ys[i + 1] - y) * tout)}"
+                j = 3 * i
+                tokens[j + 1] = f"{pin} Q {tokens[j + 1]}"
+                tokens[j + 2] += " " + pout
+    return " ".join(tokens)
 
 
 def export_vertices(p: Polyline, format: str = "csv") -> bytes:
@@ -128,7 +137,8 @@ def export_vertices(p: Polyline, format: str = "csv") -> bytes:
     if format == "obj":
         if p.dim != 3:
             raise RenderError("OBJ export is for 3D polylines")
-        lines = ["v " + " ".join(_fmt(c) for c in v) for v in p.float_vertices()]
+        name = _Names().__getitem__
+        lines = ["v " + " ".join(v) for v in zip(*(map(name, c) for c in p.float_columns()))]
         lines.append("l " + " ".join(str(i + 1) for i in range(len(lines))))
         lines.append("")
         return "\n".join(lines).encode("ascii")

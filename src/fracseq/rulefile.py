@@ -260,7 +260,15 @@ def parse_rule_file(text: str) -> SubstitutionSystem:
             parts = arg.split()
             if not parts:
                 raise ParseError("digiset needs a size", line_no, arg_col)
-            positive = "positive" in parts[1:]
+            positive = False
+            at_word = len(parts[0])
+            for word in parts[1:]:
+                at_word = arg.index(word, at_word)
+                if word != "positive" or positive:
+                    raise ParseError(f"unexpected {word!r}: digiset takes a size and at most one 'positive'",
+                                     line_no, arg_col + at_word)
+                positive = True
+                at_word += len(word)
             if parts[0] == "unbounded":
                 digiset = Digiset(None, positive)
             else:

@@ -61,10 +61,14 @@ class SignedSequence:
     digiset: Digiset = UNBOUNDED
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        for i, k in enumerate(self.items):
-            if k not in self.digiset:
-                raise DigisetError(f"item {k} at position {i} not in {self.digiset}")
+        items = tuple(self.items)
+        object.__setattr__(self, "items", items)
+        # each distinct item is checked once; the scan for a position runs
+        # only when one is bad
+        bad = {k for k in set(items) if k not in self.digiset}
+        if bad:
+            i, k = next((i, k) for i, k in enumerate(items) if k in bad)
+            raise DigisetError(f"item {k} at position {i} not in {self.digiset}")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -79,6 +79,20 @@ def test_trace_matches_radical_walk_on_random_digits(name):
         assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid.name, lengths))
 
 
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_column_walk_matches_radical_walk_on_long_walks(name):
+    # trace sums each coefficient column on its own: walks of 0, 1 and a few
+    # hundred edges, most steps repeated, read back vertex by vertex as the
+    # Radical walk, with and without a length stream
+    grid = GRIDS[name]
+    rng = random.Random(f"columns:{name}")
+    for edges in (0, 1, 300):
+        seq = random_walk(rng, grid.n, edges)
+        assert_same_walk(trace(seq, grid), reference_trace(seq.items, grid.name))
+        lengths = [sqrt2_pow(rng.randrange(4)) for _ in seq.items]
+        assert_same_walk(trace(seq, grid, lengths), reference_trace(seq.items, grid.name, lengths))
+
+
 def test_integer_grids_keep_plain_int_vertices():
     for d in range(2, 7):
         p = trace(random_walk(random.Random(d), d, 40), cubic_grid(d))

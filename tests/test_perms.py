@@ -11,6 +11,7 @@ from fracseq.perms import (
     PermMatrix,
     SignedPermutation,
     apply,
+    apply_items,
     compose,
     from_matrix,
     generate_group,
@@ -86,6 +87,15 @@ def test_apply_matches_matrix_action():
 def test_apply_range_error():
     with pytest.raises(PermError):
         apply(p(2, -1), SignedSequence((3,)))
+
+
+def test_apply_items_rejects_zero_and_out_of_range_digits():
+    sigma = p(2, -3, 1)
+    assert apply_items(sigma, (1, -1, 2, -2, 3, -3)) == (2, -2, -3, 3, 1, -1)
+    # 0 is no signed digit: it must not read as the negated last image
+    for bad in (0, 4, -4):
+        with pytest.raises(PermError, match=f"^digit {bad} outside dimension 3$"):
+            apply_items(sigma, (1, bad, 0, 5))
 
 
 # ---------------------------------------------------------------- compose

@@ -123,3 +123,34 @@ def test_sqrt2_grid_csv_and_3d_obj_bytes():
     hilbert = get_entry("hilbert-3d-origin")
     obj = export_vertices(trace(iterate(hilbert.system, 1), hilbert.grid), "obj")
     assert hashlib.sha256(obj).hexdigest() == "d751eb60945d990438b85f4e60464dd4e597474d1965c5ba0ce59cba97d8ddbf"
+
+
+# SHA-256 of every other benchmark render (lattice grids, rounded corners, both
+# 3D projections) and of rounded corners on sqrt2, sqrt3 and 3D-iso screens,
+# taken from svg_export before it formatted each distinct coordinate once
+GOLDEN_RENDER_SVG = {
+    ("hilbert-original", 6, ()): "763f58fcd20568d54dba9382d5eafcd4a5a474287929337eba30559d53ba6f4d",
+    ("hilbert-original", 6, ("--rounded",)): "490daa39a1a378460a81ea8f21497e5e38f42c3125d7d3afc2fbe5cdcee98c70",
+    ("box4", 6, ()): "1d25607b20c6d04f6cab42ae0b70d947760d3498ffeebdbfab9e858e4aab8fe0",
+    ("beta-omega", 6, ()): "a8927b2dceee5cc8bbf663846c58703364651932e66ac9e6575aa80e5fcd0a79",
+    ("arndt-peano", 4, ()): "ed464da7a46161260fe5e3c1a652fc4ce4017755fb853810af787e986e80362f",
+    ("dekking-flowsnake", 3, ()): "3d87e0b5ac301ea65abec9b31b95e4abc60b02ef4593b81164791522d217a12f",
+    ("mandelbrot-flowsnake", 3, ()): "4318bf91ed902a41a9208392b0884f48945752d76539c952df1202898bf4cd89",
+    ("mandelbrot-island", 4, ()): "a27a7e61ef91aa1b76c1e8d26ccf73b7fa49253052e40f1744dd97d4b4ba11d5",
+    ("hilbert-3d-origin", 3, ("--projection", "iso")):
+        "2c78262fd89374de370a72c008390e74ea75521c48e984fd3f1363ae5ec309f5",
+    ("hilbert-3d-origin", 3, ("--projection", "ortho")):
+        "c0164b1593643bd3ecedafd760ccb82a7870359d7d5a08e6be5bef04f2fc11a9",
+    ("v1-dragon-8roots", 5, ("--rounded",)): "10a60a7c26d83026ad155ac621f8491a2478462d76663bded425b852c6cb1c83",
+    ("arndt-peano-truncated", 2, ("--rounded",)): "44dbb36c9dd2720ec16335a6dd9fe4dea00c3c60850cfc11be28ab1a3d3c42b0",
+    ("mandelbrot-flowsnake", 2, ("--rounded",)): "fcda13b45dd307820b06f9b50482b6c862bd7ed091b173ff5adf2cdd4b435ae8",
+    ("hilbert-3d-origin", 2, ("--projection", "iso", "--rounded")):
+        "5b18232564eb9405e39d41e672f7092f09594feedcc3d07c45f8e52bc17198ff",
+}
+
+
+@pytest.mark.parametrize("entry_id, level, flags", sorted(GOLDEN_RENDER_SVG))
+def test_render_svg_bytes(entry_id, level, flags, tmp_path, capsys):
+    out = tmp_path / "curve.svg"
+    assert main(["render", entry_id, "--level", str(level), "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RENDER_SVG[entry_id, level, flags]

@@ -138,6 +138,13 @@ def test_error_positions():
     with pytest.raises(ParseError, match="unknown directive"):
         parse_rule_file("frobnicate 1\n")
 
+    # the digiset line takes a size and at most one 'positive', nothing else
+    for line, col in (("digiset 2 frobnicate 7", 11), ("digiset 3 2", 11),
+                      ("digiset 2 positive positive", 20), ("digiset unbounded positive x", 28)):
+        with pytest.raises(ParseError, match="digiset takes a size and at most one 'positive'") as exc:
+            parse_rule_file(line + "\nkind edgewise\nstart 1\nterm [1,2]\nterm [2,1]\n")
+        assert (exc.value.line, exc.value.col) == (1, col)
+
     # a connector's digit and its perm are located like any other token
     head = "digiset 2\nkind wholecurve\nrule H\n"
     with pytest.raises(ParseError, match="bad connector digit 'tor'") as exc:

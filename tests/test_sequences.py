@@ -48,6 +48,18 @@ def test_sequence_validation():
         s(1, 3, digiset=Digiset(2))
 
 
+def test_sequence_validation_names_the_first_bad_item():
+    # each distinct item is checked once, and the message still names the
+    # first bad item at its first position
+    with pytest.raises(DigisetError, match=r"^item 5 at position 3 not in D4$"):
+        s(1, -2, 3, 5, 4, 5, -7, digiset=Digiset(4))
+    with pytest.raises(DigisetError, match=r"^item -2 at position 2 not in \+D3$"):
+        s(1, 3, -2, 2, -2, -1, digiset=Digiset(3, positive_only=True))
+    with pytest.raises(DigisetError, match=r"^item 0 at position 1 not in D\*$"):
+        s(10**9, 0, -5, 0)
+    assert s(10**9, -1, 10**9).items == (10**9, -1, 10**9)
+
+
 # ---------------------------------------------------------------- concat
 
 def test_concat_examples():
