@@ -9,6 +9,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .sequences import SignedSequence
@@ -40,13 +41,19 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.images)
 
+    @cached_property
+    def _table(self) -> dict[int, int]:
+        """Each signed digit k in ±1..n to its image, built on first use."""
+        table = dict(enumerate(self.images, start=1))
+        table.update({-k: -v for k, v in table.items()})
+        return table
+
     def of_digit(self, k: int) -> int:
         """Image of the signed digit k."""
-        m = abs(k)
-        if m == 0 or m > self.n:
-            raise PermError(f"digit {k} outside dimension {self.n}")
-        v = self.images[m - 1]
-        return v if k > 0 else -v
+        try:
+            return self._table[k]
+        except KeyError:
+            raise PermError(f"digit {k} outside dimension {self.n}") from None
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
@@ -63,10 +70,8 @@ def apply(p: SignedPermutation, s: SignedSequence) -> SignedSequence:
 
 def apply_items(p: SignedPermutation, items: tuple[int, ...]) -> tuple[int, ...]:
     """p applied to each digit; 0 and digits beyond ±n raise, naming the first."""
-    table = dict(enumerate(p.images, start=1))
-    table.update({-k: -v for k, v in table.items()})
     try:
-        return tuple(map(table.__getitem__, items))
+        return tuple(map(p._table.__getitem__, items))
     except KeyError as exc:
         raise PermError(f"digit {exc.args[0]} outside dimension {p.n}") from None
 
@@ -75,7 +80,7 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     """(a . b)(k) = sign(b(k)) * a(|b(k)|): b acts first."""
     if a.n != b.n:
         raise PermError(f"dimension mismatch: {a.n} vs {b.n}")
-    return SignedPermutation(tuple(a.of_digit(v) for v in b.images))
+    return SignedPermutation(apply_items(a, b.images))
 
 
 def invert(p: SignedPermutation) -> SignedPermutation:

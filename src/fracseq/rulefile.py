@@ -3,7 +3,7 @@
 Grammar (one directive per line, ``#`` starts a comment):
 
     name <id>
-    digiset <n> | unbounded          optional trailing word: positive
+    digiset <n> | unbounded          optional trailing word: positive (no other)
     kind edgewise|digitwise|wholecurve|pairlift
     start <sequence>                 edgewise/digitwise/pairlift start
     start <state> <sequence>        wholecurve start, one per state

@@ -65,9 +65,9 @@ class SignedSequence:
         object.__setattr__(self, "items", items)
         # each distinct item is checked once; the scan for a position runs
         # only when one is bad
-        bad = {k for k in set(items) if k not in self.digiset}
-        if bad:
-            i, k = next((i, k) for i, k in enumerate(items) if k in bad)
+        member = self.digiset.__contains__
+        if not all(map(member, set(items))):
+            i, k = next((i, k) for i, k in enumerate(items) if not member(k))
             raise DigisetError(f"item {k} at position {i} not in {self.digiset}")
 
     def __len__(self) -> int:

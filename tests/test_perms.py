@@ -87,9 +87,6 @@ def test_apply_matches_matrix_action():
 def test_apply_range_error():
     with pytest.raises(PermError):
         apply(p(2, -1), SignedSequence((3,)))
-
-
-def test_apply_items_rejects_zero_and_out_of_range_digits():
     sigma = p(2, -3, 1)
     assert apply_items(sigma, (1, -1, 2, -2, 3, -3)) == (2, -2, -3, 3, 1, -1)
     # 0 is no signed digit: it must not read as the negated last image

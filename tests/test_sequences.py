@@ -46,9 +46,6 @@ def test_sequence_validation():
         s(1, 0, digiset=Digiset(2))
     with pytest.raises(DigisetError):
         s(1, 3, digiset=Digiset(2))
-
-
-def test_sequence_validation_names_the_first_bad_item():
     # each distinct item is checked once, and the message still names the
     # first bad item at its first position
     with pytest.raises(DigisetError, match=r"^item 5 at position 3 not in D4$"):
